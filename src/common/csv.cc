@@ -17,9 +17,8 @@ Table::Table(std::vector<std::string> header)
 void
 Table::addRow(std::vector<std::string> cells)
 {
-    fatalIf(cells.size() != header_.size(),
-            strCat("Table: row width ", cells.size(),
-                   " != header width ", header_.size()));
+    fatalIf(cells.size() != header_.size(), "Table: row width ", cells.size(),
+            " != header width ", header_.size());
     rows_.push_back(std::move(cells));
 }
 

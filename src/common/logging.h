@@ -110,22 +110,35 @@ strCat(const Args &...args)
 /**
  * Check a caller-supplied condition; fatal() on failure.
  *
+ * The message is given as stream-insertable pieces and formatted with
+ * strCat() only when the check fires. Pass the pieces, never a
+ * prebuilt strCat(...): an argument is evaluated on every call, and
+ * checks sit on per-device and per-reservation paths where building
+ * an ostringstream and a heap string each time a check passes costs
+ * more than the work it guards. scripts/check_lazy_checks.py rejects
+ * the eager form in src/. A single std::string argument still works.
+ *
  * @param cond condition expected to hold
- * @param msg message describing the user error when it does not
+ * @param msg pieces of the message describing the user error
  */
+template <typename... Args>
 inline void
-fatalIf(bool cond, const std::string &msg)
+fatalIf(bool cond, const Args &...msg)
 {
-    if (cond)
-        fatal(msg);
+    if (cond) [[unlikely]]
+        fatal(strCat(msg...));
 }
 
-/** Check an internal invariant; panic() on failure. */
+/**
+ * Check an internal invariant; panic() on failure. Takes the message
+ * as lazily formatted pieces, like fatalIf().
+ */
+template <typename... Args>
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, const Args &...msg)
 {
-    if (cond)
-        panic(msg);
+    if (cond) [[unlikely]]
+        panic(strCat(msg...));
 }
 
 } // namespace spindle

@@ -22,9 +22,9 @@ ComputationGraph::addEdge(OpId src, OpId dst)
 {
     checkFinalized(false);
     fatalIf(src < 0 || static_cast<std::size_t>(src) >= ops_.size(),
-            strCat("addEdge: bad src ", src));
+            "addEdge: bad src ", src);
     fatalIf(dst < 0 || static_cast<std::size_t>(dst) >= ops_.size(),
-            strCat("addEdge: bad dst ", dst));
+            "addEdge: bad dst ", dst);
     fatalIf(src == dst, "addEdge: self-loop is not a DAG edge");
     edges_.push_back({src, dst});
 }
@@ -80,7 +80,7 @@ ComputationGraph::successors(OpId id) const
 {
     checkFinalized(true);
     panicIf(id < 0 || static_cast<std::size_t>(id) >= succ_.size(),
-            strCat("successors: bad id ", id));
+            "successors: bad id ", id);
     return succ_[id];
 }
 
@@ -89,7 +89,7 @@ ComputationGraph::predecessors(OpId id) const
 {
     checkFinalized(true);
     panicIf(id < 0 || static_cast<std::size_t>(id) >= pred_.size(),
-            strCat("predecessors: bad id ", id));
+            "predecessors: bad id ", id);
     return pred_[id];
 }
 

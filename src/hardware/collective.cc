@@ -573,6 +573,21 @@ CollectiveModel::p2pTime(double bytes, DeviceId src, DeviceId dst) const
     return bytes / link.bandwidth + link.latency;
 }
 
+namespace {
+
+/** A flow over @p link, sharded across min(|src|, |dst|) streams:
+ *  each stream moves a slice. */
+double
+shardedFlowTime(double bytes, const DeviceSet &src, const DeviceSet &dst,
+                const LinkParams &link)
+{
+    const double streams =
+        static_cast<double>(std::min(src.size(), dst.size()));
+    return bytes / streams / link.bandwidth + link.latency;
+}
+
+} // namespace
+
 double
 CollectiveModel::flowTime(double bytes, const DeviceSet &src,
                           const DeviceSet &dst) const
@@ -584,24 +599,12 @@ CollectiveModel::flowTime(double bytes, const DeviceSet &src,
         return 0.0; // data already resident where it is consumed
 
     // Best pairwise link class available between the two sets:
-    // highest bandwidth, ties broken toward the lower latency so the
-    // winner is independent of pair iteration order (a pure function
-    // of the *set* of spanned link classes, pinned by property_test's
-    // stripe-relabel invariance case).
-    LinkParams best{0.0, 0.0};
-    for (DeviceId s : src) {
-        for (DeviceId d : dst) {
-            LinkParams l = topo_.linkBetween(s, d);
-            if (l.bandwidth > best.bandwidth ||
-                (l.bandwidth == best.bandwidth &&
-                 l.latency < best.latency))
-                best = l;
-        }
-    }
-    // Sharded across parallel streams: each stream moves a slice.
-    const double streams =
-        static_cast<double>(std::min(src.size(), dst.size()));
-    return bytes / streams / best.bandwidth + best.latency;
+    // highest bandwidth, ties broken toward the lower latency, so the
+    // winner is a pure function of the *set* of spanned link classes
+    // (pinned by property_test's stripe-relabel invariance case) and
+    // is read off per island instead of per pair.
+    return shardedFlowTime(bytes, src, dst,
+                           topo_.bestLinkBetween(src, dst));
 }
 
 double
@@ -624,22 +627,11 @@ CollectiveModel::pairedFlowTime(double bytes, const DeviceSet &src,
     // flows price exactly like flowTime, so enabling the pairing-
     // aware oracle only separates windows the attribution metric
     // itself distinguishes.
-    const double t = flowTime(bytes, src, dst);
+    std::size_t miss = 0;
+    const double t = shardedFlowTime(
+        bytes, src, dst, topo_.bestLinkBetween(src, dst, &miss));
     if (t <= 0)
         return t;
-    std::size_t miss = 0;
-    for (DeviceId d : dst) {
-        const std::uint32_t island = topo_.islandOf(d);
-        bool covered = false;
-        for (DeviceId s : src) {
-            if (topo_.islandOf(s) == island) {
-                covered = true;
-                break;
-            }
-        }
-        if (!covered)
-            ++miss;
-    }
     return t * (1.0 + static_cast<double>(miss) /
                           static_cast<double>(dst.size()));
 }

@@ -10,19 +10,54 @@ namespace spindle {
 
 namespace {
 
+/**
+ * Per-thread scratch of bestLinkBetween(). Marks are stamped with a
+ * per-call epoch, so a call clears nothing; the tables grow only
+ * when a thread first meets a larger cluster.
+ */
+struct LinkScratch
+{
+    struct Island
+    {
+        std::uint32_t srcEpoch = 0; ///< island holds a src device
+        std::uint32_t dstEpoch = 0; ///< island holds a dst device
+        DeviceId srcFirst = 0;      ///< first src device seen in it
+        bool srcMulti = false;      ///< it holds another src device
+    };
+
+    std::uint32_t epoch = 0;
+    std::vector<std::uint32_t> srcDevice; ///< src stamp per device
+    std::vector<Island> islands;
+
+    /** Start a call on a cluster of the given size; returns its epoch. */
+    std::uint32_t
+    begin(std::uint32_t num_devices, std::uint32_t num_islands)
+    {
+        if (srcDevice.size() < num_devices)
+            srcDevice.resize(num_devices, 0);
+        if (islands.size() < num_islands)
+            islands.resize(num_islands);
+        if (++epoch == 0) {
+            std::fill(srcDevice.begin(), srcDevice.end(), 0);
+            std::fill(islands.begin(), islands.end(), Island{});
+            epoch = 1;
+        }
+        return epoch;
+    }
+};
+
+thread_local LinkScratch link_scratch;
+
 /** Reject non-positive bandwidths / negative latencies / zero rails. */
 void
 checkLink(const LinkParams &link, const char *what)
 {
-    fatalIf(link.bandwidth <= 0,
-            strCat("ClusterTopology: ", what,
-                   " bandwidth must be positive (got ", link.bandwidth,
-                   ")"));
-    fatalIf(link.latency < 0,
-            strCat("ClusterTopology: ", what, " latency must be >= 0"));
-    fatalIf(link.rails == 0,
-            strCat("ClusterTopology: ", what,
-                   " rails must be >= 1 (got 0; default-construct for 1)"));
+    fatalIf(link.bandwidth <= 0, "ClusterTopology: ", what,
+            " bandwidth must be positive (got ", link.bandwidth, ")");
+    fatalIf(link.latency < 0, "ClusterTopology: ", what,
+            " latency must be >= 0");
+    fatalIf(link.rails == 0, "ClusterTopology: ", what,
+            " rails must be >= 1 (got 0; default-construct for 1)");
 }
 
 /**
@@ -38,14 +73,12 @@ LinkParams
 resolveLink(const LinkParams &link, const LinkParams &fallback,
             const char *what)
 {
-    fatalIf(link.bandwidth < 0,
-            strCat("ClusterTopology: ", what,
-                   " bandwidth must be >= 0 (0 inherits the default)"));
-    fatalIf(link.latency < 0,
-            strCat("ClusterTopology: ", what, " latency must be >= 0"));
-    fatalIf(link.rails == 0,
-            strCat("ClusterTopology: ", what,
-                   " rails must be >= 1 (got 0; default-construct for 1)"));
+    fatalIf(link.bandwidth < 0, "ClusterTopology: ", what,
+            " bandwidth must be >= 0 (0 inherits the default)");
+    fatalIf(link.latency < 0, "ClusterTopology: ", what,
+            " latency must be >= 0");
+    fatalIf(link.rails == 0, "ClusterTopology: ", what,
+            " rails must be >= 1 (got 0; default-construct for 1)");
     if (link.bandwidth == 0 && link.latency == 0)
         return {fallback.bandwidth, fallback.latency,
                 link.rails == 1 ? fallback.rails : link.rails};
@@ -108,15 +141,14 @@ ClusterTopology::validateAndBuild()
     } else {
         std::size_t total = 0;
         for (const IslandSpec &spec : config_.islands) {
-            fatalIf(spec.devices.empty(),
-                    strCat("ClusterTopology: island ", islands_.size(),
-                           " has no devices"));
+            fatalIf(spec.devices.empty(), "ClusterTopology: island ",
+                    islands_.size(), " has no devices");
             total += spec.devices.size();
             DeviceSet members = spec.devices;
             canonicalize(members);
             fatalIf(members.size() != spec.devices.size(),
-                    strCat("ClusterTopology: island ", islands_.size(),
-                           " lists a device id twice"));
+                    "ClusterTopology: island ", islands_.size(),
+                    " lists a device id twice");
             islands_.push_back(std::move(members));
         }
         num_devices_ = static_cast<std::uint32_t>(total);
@@ -127,14 +159,12 @@ ClusterTopology::validateAndBuild()
     island_of_.assign(num_devices_, num_devices_);
     for (std::size_t k = 0; k < islands_.size(); ++k) {
         for (DeviceId d : islands_[k]) {
-            fatalIf(d >= num_devices_,
-                    strCat("ClusterTopology: device id ", d,
-                           " out of range [0, ", num_devices_,
-                           ") — ids must be dense"));
+            fatalIf(d >= num_devices_, "ClusterTopology: device id ", d,
+                    " out of range [0, ", num_devices_,
+                    ") — ids must be dense");
             fatalIf(island_of_[d] != num_devices_,
-                    strCat("ClusterTopology: device id ", d,
-                           " belongs to islands ", island_of_[d],
-                           " and ", k));
+                    "ClusterTopology: device id ", d, " belongs to islands ",
+                    island_of_[d], " and ", k);
             island_of_[d] = static_cast<std::uint32_t>(k);
         }
     }
@@ -164,13 +194,12 @@ ClusterTopology::validateAndBuild()
     // Resolve island-pair overrides.
     for (const IslandLinkSpec &spec : config_.islandLinks) {
         fatalIf(spec.a >= numIslands() || spec.b >= numIslands(),
-                strCat("ClusterTopology: islandLinks names island ",
-                       std::max(spec.a, spec.b), " but there are only ",
-                       numIslands()));
-        fatalIf(spec.a == spec.b,
-                strCat("ClusterTopology: islandLinks pair (", spec.a,
-                       ", ", spec.b,
-                       ") is not a pair; use IslandSpec::intra"));
+                "ClusterTopology: islandLinks names island ",
+                std::max(spec.a, spec.b), " but there are only ",
+                numIslands());
+        fatalIf(spec.a == spec.b, "ClusterTopology: islandLinks pair (",
+                spec.a, ", ", spec.b,
+                ") is not a pair; use IslandSpec::intra");
         PairLinks pair;
         const std::uint64_t lo = std::min(spec.a, spec.b);
         const std::uint64_t hi = std::max(spec.a, spec.b);
@@ -182,9 +211,8 @@ ClusterTopology::validateAndBuild()
                                       "islandLinks collective");
         for (const PairLinks &existing : pair_links_)
             fatalIf(existing.key == pair.key,
-                    strCat("ClusterTopology: duplicate islandLinks "
-                           "entry for pair (",
-                           lo, ", ", hi, ")"));
+                    "ClusterTopology: duplicate islandLinks "
+                    "entry for pair (", lo, ", ", hi, ")");
         pair_links_.push_back(pair);
         uniform_links_ = false;
     }
@@ -250,14 +278,14 @@ ClusterTopology::withinOneIsland(const DeviceSet &devices) const
 const DeviceSet &
 ClusterTopology::islandDevices(std::uint32_t island) const
 {
-    panicIf(island >= numIslands(), strCat("islandDevices: bad ", island));
+    panicIf(island >= numIslands(), "islandDevices: bad ", island);
     return islands_[island];
 }
 
 std::uint32_t
 ClusterTopology::islandSizeOf(std::uint32_t island) const
 {
-    panicIf(island >= numIslands(), strCat("islandSizeOf: bad ", island));
+    panicIf(island >= numIslands(), "islandSizeOf: bad ", island);
     return static_cast<std::uint32_t>(islands_[island].size());
 }
 
@@ -272,7 +300,7 @@ ClusterTopology::allDevices() const
 const LinkParams &
 ClusterTopology::intraLink(std::uint32_t island) const
 {
-    panicIf(island >= numIslands(), strCat("intraLink: bad ", island));
+    panicIf(island >= numIslands(), "intraLink: bad ", island);
     return intra_links_[island];
 }
 
@@ -296,7 +324,7 @@ const LinkParams &
 ClusterTopology::interLink(std::uint32_t a, std::uint32_t b) const
 {
     panicIf(a >= numIslands() || b >= numIslands() || a == b,
-            strCat("interLink: bad island pair (", a, ", ", b, ")"));
+            "interLink: bad island pair (", a, ", ", b, ")");
     if (const PairLinks *pair = findPair(a, b))
         return pair->p2p;
     return config_.interIsland;
@@ -306,7 +334,7 @@ const LinkParams &
 ClusterTopology::collectiveLink(std::uint32_t a, std::uint32_t b) const
 {
     panicIf(a >= numIslands() || b >= numIslands() || a == b,
-            strCat("collectiveLink: bad island pair (", a, ", ", b, ")"));
+            "collectiveLink: bad island pair (", a, ", ", b, ")");
     if (const PairLinks *pair = findPair(a, b))
         return pair->collective;
     return config_.interIslandCollective;
@@ -326,6 +354,91 @@ ClusterTopology::linkBetween(DeviceId a, DeviceId b) const
     return config_.interIsland;
 }
 
+LinkParams
+ClusterTopology::bestLinkBetween(const DeviceSet &src, const DeviceSet &dst,
+                                 std::size_t *uncovered) const
+{
+    LinkParams best{0.0, 0.0};
+    auto consider = [&best](const LinkParams &l) {
+        if (l.bandwidth > best.bandwidth ||
+            (l.bandwidth == best.bandwidth && l.latency < best.latency))
+            best = l;
+    };
+
+    LinkScratch &s = link_scratch;
+    const std::uint32_t epoch = s.begin(num_devices_, numIslands());
+    std::size_t src_islands = 0;
+    for (DeviceId a : src) {
+        const std::uint32_t island = islandOf(a);
+        s.srcDevice[a] = epoch;
+        LinkScratch::Island &m = s.islands[island];
+        if (m.srcEpoch != epoch) {
+            m.srcEpoch = epoch;
+            m.srcFirst = a;
+            m.srcMulti = false;
+            ++src_islands;
+        } else if (a != m.srcFirst) {
+            m.srcMulti = true;
+        }
+    }
+
+    bool overlap = false; // some pair is one device: on-device copy
+    bool cross = false;   // some pair spans two islands
+    std::size_t miss = 0;
+    std::size_t dst_islands = 0;
+    std::size_t shared_islands = 0; // islands holding src and dst
+    for (DeviceId b : dst) {
+        const std::uint32_t island = islandOf(b);
+        overlap |= s.srcDevice[b] == epoch;
+        LinkScratch::Island &m = s.islands[island];
+        const bool has_src = m.srcEpoch == epoch;
+        if (has_src) {
+            // An intra-island pair needs a src device other than b.
+            if (m.srcMulti || m.srcFirst != b)
+                consider(intra_links_[island]);
+            cross |= src_islands > 1;
+        } else {
+            ++miss;
+            cross = true;
+        }
+        if (m.dstEpoch != epoch) {
+            m.dstEpoch = epoch;
+            ++dst_islands;
+            shared_islands += has_src;
+        }
+    }
+    if (overlap)
+        consider({config_.device.copyBandwidth, 0.0});
+
+    if (cross) {
+        // Every ordered (src island, dst island) pair of distinct
+        // islands spans its p2p class: an override where one is
+        // configured, the default inter class otherwise. Visit the
+        // spanned overrides, counting them to learn whether some
+        // spanned pair has none.
+        std::size_t spanned_pairs = 0;
+        auto spans = [&](std::uint64_t a, std::uint64_t b) {
+            return s.islands[a].srcEpoch == epoch &&
+                   s.islands[b].dstEpoch == epoch;
+        };
+        for (const PairLinks &pair : pair_links_) {
+            const std::uint64_t lo = pair.key / numIslands();
+            const std::uint64_t hi = pair.key % numIslands();
+            const std::size_t hits =
+                static_cast<std::size_t>(spans(lo, hi) + spans(hi, lo));
+            if (hits > 0)
+                consider(pair.p2p);
+            spanned_pairs += hits;
+        }
+        if (spanned_pairs < src_islands * dst_islands - shared_islands)
+            consider(config_.interIsland);
+    }
+
+    if (uncovered != nullptr)
+        *uncovered = miss;
+    return best;
+}
+
 DegradedTopology
 ClusterTopology::withoutDevices(const DeviceSet &dead) const
 {
@@ -334,19 +447,16 @@ ClusterTopology::withoutDevices(const DeviceSet &dead) const
             "using this topology");
     std::vector<bool> is_dead(num_devices_, false);
     for (DeviceId d : dead) {
-        fatalIf(d >= num_devices_,
-                strCat("withoutDevices: dead device id ", d,
-                       " out of range [0, ", num_devices_,
-                       ") — ids are in the original numbering"));
-        fatalIf(is_dead[d],
-                strCat("withoutDevices: device ", d,
-                       " listed dead twice"));
+        fatalIf(d >= num_devices_, "withoutDevices: dead device id ", d,
+                " out of range [0, ", num_devices_,
+                ") — ids are in the original numbering");
+        fatalIf(is_dead[d], "withoutDevices: device ", d,
+                " listed dead twice");
         is_dead[d] = true;
     }
-    fatalIf(dead.size() == num_devices_,
-            strCat("withoutDevices: all ", num_devices_,
-                   " devices are dead — no surviving topology to "
-                   "replan on; report total cluster loss instead"));
+    fatalIf(dead.size() == num_devices_, "withoutDevices: all ", num_devices_,
+            " devices are dead — no surviving topology to "
+            "replan on; report total cluster loss instead");
 
     DegradedTopology out;
     out.oldToNew.assign(num_devices_, DegradedTopology::kDead);

@@ -29,6 +29,8 @@
 #ifndef SPINDLE_HARDWARE_TOPOLOGY_H
 #define SPINDLE_HARDWARE_TOPOLOGY_H
 
+#include <cstddef>
+
 #include "hardware/device.h"
 
 namespace spindle {
@@ -227,6 +229,21 @@ class ClusterTopology
      * pair's point-to-point class.
      */
     LinkParams linkBetween(DeviceId a, DeviceId b) const;
+
+    /**
+     * The fastest link class spanned by the (a, b) pairs of
+     * @p src x @p dst: highest bandwidth, ties broken toward the
+     * lower latency. Its bandwidth and latency equal the fold of
+     * linkBetween() over every pair, since both depend only on the
+     * set of classes present, which is read off per island in
+     * O(|src| + |dst|), plus one pass over the island-pair overrides
+     * on a fabric that configures any. When @p uncovered is non-null it
+     * receives the number of @p dst devices whose island holds no
+     * @p src device. Thread-safe; uses per-thread scratch, so a call
+     * allocates nothing once the scratch has grown to the cluster.
+     */
+    LinkParams bestLinkBetween(const DeviceSet &src, const DeviceSet &dst,
+                               std::size_t *uncovered = nullptr) const;
 
     /**
      * 64-bit structural fingerprint of the *resolved* topology:

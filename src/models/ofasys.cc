@@ -43,7 +43,7 @@ ComputationGraph
 buildOfasys(const OfasysConfig &config)
 {
     fatalIf(config.numTasks < 1 || config.numTasks > kTasks.size(),
-            strCat("buildOfasys: numTasks must be 1..", kTasks.size()));
+            "buildOfasys: numTasks must be 1..", kTasks.size());
 
     WorkloadBuilder builder;
 

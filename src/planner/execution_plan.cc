@@ -212,9 +212,8 @@ ExecutionPlan::validate(const MetaGraph &graph) const
     }
 
     for (const MetaOp &m : graph.metaOps()) {
-        panicIf(ops_done[m.id] != m.numOps(),
-                strCat("validate: MetaOp ", m.id, " executed ",
-                       ops_done[m.id], " of ", m.numOps(), " ops"));
+        panicIf(ops_done[m.id] != m.numOps(), "validate: MetaOp ", m.id,
+                " executed ", ops_done[m.id], " of ", m.numOps(), " ops");
     }
 
     // Readiness edges (when annotated): well-formed and covering

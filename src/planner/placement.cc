@@ -156,31 +156,6 @@ struct SweepTask
     std::size_t hi = 0;
 };
 
-/**
- * Shard-level inter-island attribution of one flow: the flow's bytes
- * land sharded across the destination devices, and a destination
- * device whose island holds no source device must receive its shard
- * over the inter-island fabric. Returns the fraction of destination
- * devices in that situation (0 when the flow is free). Deliberately
- * finer-grained than flowTime's best-pair pricing, which cannot see
- * the difference between an island-aligned window and one that
- * merely touches the source's island.
- */
-double
-interIslandShardFraction(const ClusterTopology &topo,
-                         const DeviceSet &src, const DeviceSet &dst,
-                         std::vector<char> &island_scratch)
-{
-    island_scratch.assign(topo.numIslands(), 0);
-    for (DeviceId s : src)
-        island_scratch[topo.islandOf(s)] = 1;
-    std::size_t miss = 0;
-    for (DeviceId d : dst)
-        if (!island_scratch[topo.islandOf(d)])
-            ++miss;
-    return static_cast<double>(miss) / static_cast<double>(dst.size());
-}
-
 } // namespace
 
 /**
@@ -616,13 +591,9 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
     CandidateWindows cand_windows;         // generator output
     std::vector<SweepTask> sweep_tasks;
     DeviceSet win_buf; // serial-sweep window scratch (exact-comm path)
-    /** Free-list positions of the winning window (empty on the
-     *  Sequential path), kept for the attribution fast path below. */
-    std::vector<std::uint32_t> win_positions;
     std::vector<std::size_t> deque_scratch; // serial-sweep deque
     std::vector<std::size_t> rowptr_scratch; // serial residency ptrs
     std::vector<char> rownonres_scratch;     // serial residency flags
-    std::vector<char> island_scratch; // inter-island attribution
 
     // Affected-device epoch stamps: device d holds at least one of
     // the current entry's keys iff affected_epoch[d] == entry_epoch.
@@ -1797,22 +1768,17 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                 }
                 best_comm = best.comm;
                 best_win.resize(n);
-                win_positions.clear();
                 if (best.band >= 0) {
                     const auto &band =
                         cand_windows.bands[static_cast<std::size_t>(
                             best.band)];
-                    for (std::uint32_t j = 0; j < n; ++j) {
-                        win_positions.push_back(band[best.start + j]);
+                    for (std::uint32_t j = 0; j < n; ++j)
                         best_win[j] = free[band[best.start + j]];
-                    }
                 } else {
                     const auto &win_pos =
                         cand_windows.extras[best.start];
-                    for (std::uint32_t j = 0; j < n; ++j) {
-                        win_positions.push_back(win_pos[j]);
+                    for (std::uint32_t j = 0; j < n; ++j)
                         best_win[j] = free[win_pos[j]];
-                    }
                 }
             }
 
@@ -1856,46 +1822,26 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                              0, best_win.size(), 8, commit_device);
 
             // Attribute the committed flows to intra- vs
-            // inter-island fabric, shard by shard (see
-            // interIslandShardFraction). Deliberately priced with
-            // the legacy flowTime even under pairing-aware scoring,
-            // so interIslandCommSeconds stays one metric comparable
+            // inter-island fabric, shard by shard: the flow's bytes
+            // land sharded across the window, and a window device
+            // whose island holds no source device receives its shard
+            // over the inter-island fabric. Finer-grained than
+            // flowTime's best-pair pricing, which cannot tell an
+            // island-aligned window from one that merely touches the
+            // source's island. Deliberately priced with the legacy
+            // flowTime even under pairing-aware scoring, so
+            // interIslandCommSeconds stays one metric comparable
             // across pricing modes (the acceptance comparison in
             // planner_equivalence_test depends on this).
             double entry_inter = 0;
-            for (std::size_t k = 0; k < inflows.size(); ++k) {
-                const auto &[bytes, src] = inflows[k];
-                double t;
-                if (!exact_comm && !win_positions.empty()) {
-                    // Same class machinery the sweep scored with,
-                    // which equals flowTime bit for bit on uniform
-                    // fabrics: zero for empty flows and src == dst
-                    // (flowTime's own early-outs), otherwise the
-                    // flow time of the fastest class present in the
-                    // window. O(n) instead of the oracle's
-                    // O(|src| * n) pair scan.
-                    if (bytes <= 0 || *src == best_win) {
-                        t = 0;
-                    } else {
-                        const InflowCtx &ctx = inflow_ctx[k];
-                        int best_rank = kNumLinkClasses - 1;
-                        for (std::uint32_t p : win_positions) {
-                            const int r = rank_of_class[ctx.cls[p]];
-                            if (r < best_rank)
-                                best_rank = r;
-                            if (best_rank == 0)
-                                break;
-                        }
-                        t = ctx.flowByClass[class_by_bw[best_rank]];
-                    }
-                } else {
-                    t = coll.flowTime(bytes, *src, best_win);
-                }
-                if (t > 0)
-                    entry_inter +=
-                        t * interIslandShardFraction(
-                                topo_, *src, best_win,
-                                island_scratch);
+            for (const auto &[bytes, src] : inflows) {
+                const double t = coll.flowTime(bytes, *src, best_win);
+                if (t <= 0)
+                    continue;
+                std::size_t miss = 0;
+                topo_.bestLinkBetween(*src, best_win, &miss);
+                entry_inter += t * (static_cast<double>(miss) /
+                                    static_cast<double>(best_win.size()));
             }
             if (cfg.tp > 1 && !topo_.withinOneIsland(best_win))
                 entry_inter += island_penalty;

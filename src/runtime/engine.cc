@@ -1,7 +1,7 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <unordered_map>
@@ -322,7 +322,7 @@ Engine::runWithFaults(const MetaGraph &graph, const ExecutionPlan &plan,
                     " (", result.peakMemoryBytes[worst] / GiB,
                     " GiB peak vs ", hbm / GiB, " GiB HBM)"));
 
-    result.timeline = sim.timeline();
+    result.timeline = sim.takeTimeline();
     return out;
 }
 
@@ -330,76 +330,138 @@ std::vector<double>
 peakMemoryPerDevice(const MetaGraph &graph, const ExecutionPlan &plan,
                     const HardwareModel &hw, const MemoryModel &mem)
 {
-    // Pass 1: the parameter device group of every key (the union of
-    // devices hosting it, §3.6 step 3) — ZeRO shards optimizer state
-    // across the *group*, not just one entry's DP width.
-    std::map<std::int64_t, DeviceSet> group_of;
+    auto key_of = [](const OperatorDesc &op) {
+        return op.paramKey != kNoParam
+                   ? static_cast<std::int64_t>(op.paramKey)
+                   : -(static_cast<std::int64_t>(op.id) + 2);
+    };
+
+    // Devices that sit in exactly the same entries receive the same
+    // sequence of keys and shares, so they build identical
+    // parameter maps (bucket layout included) and reach the same
+    // peak bit for bit. Refine the devices into such classes, one
+    // entry at a time, and account each class once: tens of classes
+    // instead of thousands of devices on a large cluster. Entries
+    // list each device once (canonical sets).
+    std::vector<std::uint32_t> class_of(plan.numDevices, 0);
+    std::vector<std::pair<std::size_t, std::uint32_t>> split_into(
+        1, {~std::size_t{0}, 0}); // per class: (entry, new class)
+    std::size_t entry_no = 0;
     for (const Wave &w : plan.waves) {
         for (const WaveEntry &e : w.entries) {
             panicIf(e.devices.empty(),
                     "peakMemoryPerDevice: plan is not placed");
-            const MetaOp &m = graph.metaOp(e.metaOp);
-            for (std::int64_t i = 0; i < e.numOps; ++i) {
-                const OperatorDesc &op =
-                    graph.base().op(m.ops[e.opBegin + i]);
-                if (op.paramBytes <= 0)
-                    continue;
-                const std::int64_t key =
-                    op.paramKey != kNoParam
-                        ? static_cast<std::int64_t>(op.paramKey)
-                        : -(static_cast<std::int64_t>(op.id) + 2);
-                group_of[key] = unionOf(group_of[key], e.devices);
+            for (DeviceId d : e.devices) {
+                if (split_into[class_of[d]].first != entry_no) {
+                    const auto fresh =
+                        static_cast<std::uint32_t>(split_into.size());
+                    split_into[class_of[d]] = {entry_no, fresh};
+                    split_into.push_back({~std::size_t{0}, 0});
+                }
+                class_of[d] = split_into[class_of[d]].second;
             }
+            ++entry_no;
         }
     }
+    std::vector<std::uint32_t> class_size(split_into.size(), 0);
+    for (std::uint32_t c : class_of)
+        ++class_size[c];
 
-    // Pass 2: per device, parameter state deduplicated by key plus
-    // all activations stashed until the backward pass.
-    std::vector<std::unordered_map<std::int64_t, double>> params(
-        plan.numDevices);
-    std::vector<double> act(plan.numDevices, 0.0);
+    // The classes of every entry, in entry order. A class lies wholly
+    // inside or outside each entry, so one device stands for it.
+    std::vector<std::vector<std::uint32_t>> entry_classes;
+    std::vector<std::size_t> seen(split_into.size(), ~std::size_t{0});
     for (const Wave &w : plan.waves) {
         for (const WaveEntry &e : w.entries) {
-            const MetaOp &m = graph.metaOp(e.metaOp);
-            const ParallelConfig cfg = hw.bestConfig(memberDesc(m), e.n);
-            const double act_share =
-                mem.activationBytesPerDevice(m, e.numOps, cfg);
+            auto &classes = entry_classes.emplace_back();
             for (DeviceId d : e.devices) {
-                act[d] += act_share;
-                for (std::int64_t i = 0; i < e.numOps; ++i) {
-                    const OperatorDesc &op =
-                        graph.base().op(m.ops[e.opBegin + i]);
-                    if (op.paramBytes <= 0)
-                        continue;
-                    const std::int64_t key =
-                        op.paramKey != kNoParam
-                            ? static_cast<std::int64_t>(op.paramKey)
-                            : -(static_cast<std::int64_t>(op.id) + 2);
-                    const double group_size =
-                        static_cast<double>(group_of[key].size());
-                    const double shard =
-                        op.paramBytes / cfg.tp /
-                        (mem.params().zeroShardParams ? cfg.dp : 1.0);
-                    const double share =
-                        shard + op.paramBytes *
-                                    mem.params().optimizerFactor /
-                                    (mem.params().zeroShardOptimizer
-                                         ? group_size
-                                         : cfg.tp);
-                    auto [it, inserted] = params[d].emplace(key, share);
-                    if (!inserted && share > it->second)
-                        it->second = share;
+                if (seen[class_of[d]] != entry_classes.size()) {
+                    seen[class_of[d]] = entry_classes.size();
+                    classes.push_back(class_of[d]);
                 }
             }
         }
     }
 
-    std::vector<double> peak(plan.numDevices, 0.0);
-    for (std::uint32_t d = 0; d < plan.numDevices; ++d) {
-        peak[d] = act[d];
-        for (const auto &[key, bytes] : params[d])
-            peak[d] += bytes;
+    // Pass 1: the size of every key's parameter device group (the
+    // union of devices hosting it, §3.6 step 3) — ZeRO shards
+    // optimizer state across the *group*, not just one entry's DP
+    // width. A class joins the group when its map first receives
+    // the key. The maps are built in the per-device insertion order
+    // of the shares below, which fixes their bucket layout and so
+    // the order of the final sums.
+    std::vector<std::unordered_map<std::int64_t, double>> params(
+        split_into.size());
+    std::unordered_map<std::int64_t, std::uint32_t> group_size;
+    constexpr double kNoShare = -std::numeric_limits<double>::infinity();
+    entry_no = 0;
+    for (const Wave &w : plan.waves) {
+        for (const WaveEntry &e : w.entries) {
+            const MetaOp &m = graph.metaOp(e.metaOp);
+            for (std::uint32_t c : entry_classes[entry_no++]) {
+                for (std::int64_t i = 0; i < e.numOps; ++i) {
+                    const OperatorDesc &op =
+                        graph.base().op(m.ops[e.opBegin + i]);
+                    if (op.paramBytes <= 0)
+                        continue;
+                    const std::int64_t key = key_of(op);
+                    if (params[c].try_emplace(key, kNoShare).second)
+                        group_size[key] += class_size[c];
+                }
+            }
+        }
     }
+
+    // Pass 2: per class, parameter state deduplicated by key (the
+    // largest share any entry assigns it) plus all activations
+    // stashed until the backward pass.
+    std::vector<double> act(split_into.size(), 0.0);
+    entry_no = 0;
+    for (const Wave &w : plan.waves) {
+        for (const WaveEntry &e : w.entries) {
+            const std::vector<std::uint32_t> &classes =
+                entry_classes[entry_no++];
+            const MetaOp &m = graph.metaOp(e.metaOp);
+            const ParallelConfig cfg = hw.bestConfig(memberDesc(m), e.n);
+            const double act_share =
+                mem.activationBytesPerDevice(m, e.numOps, cfg);
+            for (std::uint32_t c : classes)
+                act[c] += act_share;
+            for (std::int64_t i = 0; i < e.numOps; ++i) {
+                const OperatorDesc &op =
+                    graph.base().op(m.ops[e.opBegin + i]);
+                if (op.paramBytes <= 0)
+                    continue;
+                const std::int64_t key = key_of(op);
+                const double shard =
+                    op.paramBytes / cfg.tp /
+                    (mem.params().zeroShardParams ? cfg.dp : 1.0);
+                const double share =
+                    shard + op.paramBytes * mem.params().optimizerFactor /
+                                (mem.params().zeroShardOptimizer
+                                     ? static_cast<double>(
+                                           group_size.at(key))
+                                     : cfg.tp);
+                for (std::uint32_t c : classes) {
+                    double &held = params[c].find(key)->second;
+                    if (share > held)
+                        held = share;
+                }
+            }
+        }
+    }
+
+    std::vector<double> class_peak(split_into.size(), 0.0);
+    for (std::size_t c = 0; c < split_into.size(); ++c) {
+        if (class_size[c] == 0)
+            continue;
+        class_peak[c] = act[c];
+        for (const auto &[key, bytes] : params[c])
+            class_peak[c] += bytes;
+    }
+    std::vector<double> peak(plan.numDevices);
+    for (std::uint32_t d = 0; d < plan.numDevices; ++d)
+        peak[d] = class_peak[class_of[d]];
     return peak;
 }
 

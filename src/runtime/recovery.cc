@@ -31,16 +31,13 @@ RecoveryCoordinator::eventDevices(const FaultEvent &ev) const
 {
     const ClusterTopology &topo = base_hw_.topology();
     if (ev.kind == FaultKind::IslandFail) {
-        fatalIf(ev.id >= topo.numIslands(),
-                strCat("FaultPlan: island ", ev.id,
-                       " out of range (cluster has ", topo.numIslands(),
-                       " islands)"));
+        fatalIf(ev.id >= topo.numIslands(), "FaultPlan: island ", ev.id,
+                " out of range (cluster has ", topo.numIslands(),
+                " islands)");
         return topo.islandDevices(ev.id);
     }
-    fatalIf(ev.id >= topo.numDevices(),
-            strCat("FaultPlan: device ", ev.id,
-                   " out of range (cluster has ", topo.numDevices(),
-                   " devices)"));
+    fatalIf(ev.id >= topo.numDevices(), "FaultPlan: device ", ev.id,
+            " out of range (cluster has ", topo.numDevices(), " devices)");
     return {ev.id};
 }
 

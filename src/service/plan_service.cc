@@ -89,10 +89,9 @@ const PlannerOutput &
 PlanJob::result() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    panicIf(state_ != PlanJobState::Done,
-            strCat("PlanJob::result: job ", id_, " is ",
-                   toString(state_),
-                   ", not Done; wait() first and check status()"));
+    panicIf(state_ != PlanJobState::Done, "PlanJob::result: job ", id_,
+            " is ", toString(state_),
+            ", not Done; wait() first and check status()");
     return output_;
 }
 
@@ -100,10 +99,9 @@ const PlanError &
 PlanJob::error() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    panicIf(state_ != PlanJobState::Failed,
-            strCat("PlanJob::error: job ", id_, " is ",
-                   toString(state_),
-                   ", not Failed; wait() first and check status()"));
+    panicIf(state_ != PlanJobState::Failed, "PlanJob::error: job ", id_,
+            " is ", toString(state_),
+            ", not Failed; wait() first and check status()");
     return error_;
 }
 
@@ -219,9 +217,9 @@ PlanService::submitBatch(const std::vector<const MetaGraph *> &graphs)
         std::unique_lock<std::mutex> lk(mu_);
         panicIf(shutdown_, "PlanService: submit after destruction began");
         fatalIf(jobs.size() > options_.queueCapacity,
-                strCat("PlanService::submitBatch: batch of ", jobs.size(),
-                       " exceeds queueCapacity ", options_.queueCapacity,
-                       "; split the batch or raise the capacity"));
+                "PlanService::submitBatch: batch of ", jobs.size(),
+                " exceeds queueCapacity ", options_.queueCapacity,
+                "; split the batch or raise the capacity");
         cv_space_.wait(lk, [&] {
             return queue_.size() + jobs.size() <= options_.queueCapacity;
         });
@@ -283,10 +281,10 @@ PlanService::execute(PlanJob &job)
             hw = job.hw_;
         }
 
-        fatalIf(job.graph_->numLevels() == 0,
-                strCat("PlanService: request ", job.id_,
-                       " contracted to an empty MetaGraph (no levels); "
-                       "nothing to plan"));
+        fatalIf(job.graph_->numLevels() == 0, "PlanService: request ",
+                job.id_,
+                " contracted to an empty MetaGraph (no levels); "
+                "nothing to plan");
 
         // Per-request planner: construction is cheap at threads == 1
         // (no pool spawned), and replan() against the shared cache is

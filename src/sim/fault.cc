@@ -38,14 +38,11 @@ FaultInjector::FaultInjector(Simulator &sim,
     for (const InjectedFault &f : faults_) {
         fatalIf(f.devices.empty(),
                 "FaultInjector: fault batch with no devices");
-        fatalIf(f.time < 0,
-                strCat("FaultInjector: fault at negative time ",
-                       f.time));
+        fatalIf(f.time < 0, "FaultInjector: fault at negative time ", f.time);
         for (DeviceId d : f.devices)
-            fatalIf(d >= sim.numDevices(),
-                    strCat("FaultInjector: device ", d,
-                           " out of range (cluster has ",
-                           sim.numDevices(), " devices)"));
+            fatalIf(d >= sim.numDevices(), "FaultInjector: device ", d,
+                    " out of range (cluster has ", sim.numDevices(),
+                    " devices)");
     }
 }
 

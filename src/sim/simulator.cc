@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -17,8 +18,7 @@ void
 Simulator::failDevices(const DeviceSet &devices)
 {
     for (DeviceId d : devices)
-        panicIf(d >= num_devices_,
-                strCat("failDevices: bad device ", d));
+        panicIf(d >= num_devices_, "failDevices: bad device ", d);
     for (DeviceId d : devices) {
         if (!failed_[d]) {
             failed_[d] = true;
@@ -30,7 +30,7 @@ Simulator::failDevices(const DeviceSet &devices)
 bool
 Simulator::isFailed(DeviceId dev) const
 {
-    panicIf(dev >= num_devices_, strCat("isFailed: bad device ", dev));
+    panicIf(dev >= num_devices_, "isFailed: bad device ", dev);
     return failed_[dev];
 }
 
@@ -59,7 +59,7 @@ Simulator::failedDevices() const
 double
 Simulator::deviceFree(DeviceId dev) const
 {
-    panicIf(dev >= num_devices_, strCat("deviceFree: bad device ", dev));
+    panicIf(dev >= num_devices_, "deviceFree: bad device ", dev);
     return free_at_[dev];
 }
 
@@ -84,14 +84,13 @@ Simulator::occupy(const DeviceSet &group, double earliest,
     // device id mid-group cannot leave the timeline and free_at_
     // inconsistent.
     for (DeviceId d : group)
-        panicIf(d >= num_devices_, strCat("occupy: bad device ", d));
+        panicIf(d >= num_devices_, "occupy: bad device ", d);
     if (num_failed_ > 0) {
         for (DeviceId d : group)
-            panicIf(failed_[d],
-                    strCat("occupy: device ", d, " failed at t=",
-                           queue_.now(), " but \"", label,
-                           "\" still reserves it — the dispatcher "
-                           "must abort or replan after a fault"));
+            panicIf(failed_[d], "occupy: device ", d, " failed at t=",
+                    queue_.now(), " but \"", label,
+                    "\" still reserves it — the dispatcher "
+                    "must abort or replan after a fault");
     }
     const double start = std::max(earliest, groupFree(group));
     const double end = start + duration;
@@ -120,6 +119,14 @@ void
 Simulator::notifyAt(double when, EventQueue::Action action)
 {
     queue_.schedule(std::max(when, queue_.now()), std::move(action));
+}
+
+Timeline
+Simulator::takeTimeline()
+{
+    Timeline out = std::exchange(timeline_, Timeline{});
+    out.shrinkToFit();
+    return out;
 }
 
 void

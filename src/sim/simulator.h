@@ -51,6 +51,13 @@ class Simulator
     Timeline &timeline() { return timeline_; }
     const Timeline &timeline() const { return timeline_; }
 
+    /**
+     * Move the recorded timeline out, leaving an empty one behind.
+     * The records are trimmed to their count on the way, so the
+     * caller holds no spare capacity left from their growth.
+     */
+    Timeline takeTimeline();
+
     /** Earliest time device @p dev is free. */
     double deviceFree(DeviceId dev) const;
 

@@ -49,9 +49,8 @@ Timeline::deviceBusyFraction(std::uint32_t num_devices) const
     if (makespan_ <= 0)
         return busy;
     for (const ExecRecord &r : records_) {
-        panicIf(r.device >= num_devices,
-                strCat("deviceBusyFraction: device ", r.device,
-                       " out of range"));
+        panicIf(r.device >= num_devices, "deviceBusyFraction: device ",
+                r.device, " out of range");
         busy[r.device] += r.end - r.start;
     }
     for (double &b : busy)

@@ -52,6 +52,9 @@ class Timeline
     const std::vector<ExecRecord> &records() const { return records_; }
     bool empty() const { return records_.empty(); }
 
+    /** Release the spare capacity of the record storage. */
+    void shrinkToFit() { records_.shrink_to_fit(); }
+
     /** Latest interval end (0 when empty). */
     double makespan() const { return makespan_; }
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 
 #include "test_util.h"
 
@@ -484,6 +485,241 @@ TEST(Collective, PairedFlowTimePunishesTouchingTheSlowIsland)
     // zero bytes are free.
     EXPECT_EQ(coll.pairedFlowTime(bytes, src, src), 0.0);
     EXPECT_EQ(coll.pairedFlowTime(0.0, src, touching), 0.0);
+}
+
+/**
+ * Reference flow oracle: the pair scan flowTime used before it read
+ * the link classes off per island. Folds linkBetween() over every
+ * (src, dst) pair with the same max-bandwidth / lower-latency rule.
+ */
+double
+pairScanFlowTime(const ClusterTopology &topo, double bytes,
+                 const DeviceSet &src, const DeviceSet &dst)
+{
+    if (bytes <= 0 || src == dst)
+        return 0.0;
+    LinkParams best{0.0, 0.0};
+    for (DeviceId s : src) {
+        for (DeviceId d : dst) {
+            const LinkParams l = topo.linkBetween(s, d);
+            if (l.bandwidth > best.bandwidth ||
+                (l.bandwidth == best.bandwidth && l.latency < best.latency))
+                best = l;
+        }
+    }
+    const double streams =
+        static_cast<double>(std::min(src.size(), dst.size()));
+    return bytes / streams / best.bandwidth + best.latency;
+}
+
+/** Reference pairedFlowTime: the pair scan plus a nested-loop count
+ *  of destinations whose island holds no source device. */
+double
+pairScanPairedFlowTime(const ClusterTopology &topo, double bytes,
+                       const DeviceSet &src, const DeviceSet &dst)
+{
+    const double t = pairScanFlowTime(topo, bytes, src, dst);
+    if (t <= 0)
+        return t;
+    std::size_t miss = 0;
+    for (DeviceId d : dst) {
+        bool covered = false;
+        for (DeviceId s : src)
+            covered = covered || topo.sameIsland(s, d);
+        miss += covered ? 0 : 1;
+    }
+    return t * (1.0 + static_cast<double>(miss) /
+                          static_cast<double>(dst.size()));
+}
+
+/**
+ * Random (src, dst) pairs over @p topo: sets spanning the cluster,
+ * single-island sets, singletons, dst == src and overlapping sets,
+ * each in ascending or shuffled order. Requires flowTime and
+ * pairedFlowTime to equal the pair-scan reference bit for bit.
+ */
+void
+expectFlowOracleMatchesPairScan(const ClusterTopology &topo,
+                                std::uint32_t seed, int cases,
+                                std::uint32_t max_size)
+{
+    CollectiveModel coll(topo);
+    std::mt19937 rng(seed);
+    const std::uint32_t n = topo.numDevices();
+    auto pick = [&](std::uint32_t lo, std::uint32_t hi) {
+        return std::uniform_int_distribution<std::uint32_t>(lo, hi)(rng);
+    };
+    auto random_set = [&]() {
+        DeviceSet set;
+        switch (pick(0, 2)) {
+        case 0: { // anywhere in the cluster
+            const std::uint32_t size = pick(1, std::min(max_size, n));
+            DeviceSet all = topo.allDevices();
+            std::shuffle(all.begin(), all.end(), rng);
+            set.assign(all.begin(), all.begin() + size);
+            break;
+        }
+        case 1: { // inside one island
+            set = topo.islandDevices(pick(0, topo.numIslands() - 1));
+            std::shuffle(set.begin(), set.end(), rng);
+            set.resize(pick(1, static_cast<std::uint32_t>(set.size())));
+            break;
+        }
+        default: // a singleton
+            set.push_back(pick(0, n - 1));
+        }
+        if (pick(0, 1) == 0)
+            canonicalize(set);
+        return set;
+    };
+
+    for (int c = 0; c < cases; ++c) {
+        const DeviceSet src = random_set();
+        DeviceSet dst;
+        switch (pick(0, 3)) {
+        case 0: // identical sets
+            dst = src;
+            break;
+        case 1: { // overlapping: part of src plus fresh devices
+            dst = random_set();
+            dst.push_back(src[pick(0, static_cast<std::uint32_t>(
+                                           src.size() - 1))]);
+            canonicalize(dst);
+            break;
+        }
+        default:
+            dst = random_set();
+        }
+        const double bytes = c % 17 == 0 ? 0.0 : 1e6 * pick(1, 4096);
+        SCOPED_TRACE(strCat("case ", c, ": src ", deviceSetStr(src),
+                            " dst ", deviceSetStr(dst)));
+        EXPECT_EQ(coll.flowTime(bytes, src, dst),
+                  pairScanFlowTime(topo, bytes, src, dst));
+        EXPECT_EQ(coll.pairedFlowTime(bytes, src, dst),
+                  pairScanPairedFlowTime(topo, bytes, src, dst));
+        EXPECT_EQ(coll.flowTime(bytes, dst, src),
+                  pairScanFlowTime(topo, bytes, dst, src));
+    }
+}
+
+/** 24 four-device islands with permuted memberships: device d sits
+ *  in island (d * 7) % 24. */
+ClusterConfig
+permutedIslandsConfig()
+{
+    ClusterConfig cfg;
+    cfg.islands.resize(24);
+    for (std::uint32_t d = 0; d < 96; ++d)
+        cfg.islands[(d * 7) % 24].devices.push_back(d);
+    return cfg;
+}
+
+TEST(Collective, FlowOracleMatchesPairScanOnUniformCluster)
+{
+    ClusterConfig cfg;
+    cfg.numNodes = 512;
+    cfg.gpusPerNode = 8;
+    const ClusterTopology topo(cfg);
+    ASSERT_TRUE(topo.uniformLinks());
+    expectFlowOracleMatchesPairScan(topo, 11, 300, 48);
+}
+
+TEST(Collective, FlowOracleMatchesPairScanWithIntraOverrides)
+{
+    // Some islands faster than the on-device copy (so an intra pair
+    // next to an overlapping device decides the flow) and some
+    // slower than the inter class, so the winning class depends on
+    // which islands a flow touches.
+    ClusterConfig cfg = permutedIslandsConfig();
+    for (std::uint32_t k = 0; k < 24; k += 3)
+        cfg.islands[k].intra = {1500 * kGiga, 2 * kMicro};
+    cfg.islands[1].intra = {30 * kGiga, 1 * kMicro};
+    cfg.islands[4].intra = {0, 9 * kMicro}; // latency-only override
+    const ClusterTopology topo(cfg);
+    ASSERT_FALSE(topo.uniformLinks());
+    expectFlowOracleMatchesPairScan(topo, 12, 600, 24);
+}
+
+TEST(Collective, FlowOracleMatchesPairScanWithPairOverrides)
+{
+    // A few overrides, faster and slower than the default inter
+    // class. The intra class is slower than the default inter one,
+    // so whether a flow spans a pair without an override decides it.
+    ClusterConfig cfg = permutedIslandsConfig();
+    cfg.intraIsland = {45 * kGiga, 1 * kMicro};
+    cfg.islandLinks.push_back({0, 1, {120 * kGiga, 1 * kMicro}, {}});
+    cfg.islandLinks.push_back({2, 5, {20 * kGiga, 30 * kMicro}, {}});
+    cfg.islandLinks.push_back({3, 7, {0, 2 * kMicro}, {}});
+    cfg.islandLinks.push_back({7, 23, {260 * kGiga, 5 * kMicro}, {}});
+    cfg.islandLinks.push_back({10, 11, {50 * kGiga, 1 * kMicro}, {}});
+    expectFlowOracleMatchesPairScan(ClusterTopology(cfg), 13, 600, 24);
+
+    // Every pair of six islands overridden but (0, 5), each override
+    // slower than the default inter class: a flow reaches the
+    // fastest cross-island class only through that pair.
+    ClusterConfig dense;
+    dense.intraIsland = {30 * kGiga, 1 * kMicro};
+    dense.islands.resize(6);
+    for (std::uint32_t d = 0; d < 24; ++d)
+        dense.islands[(d * 5) % 6].devices.push_back(d);
+    for (std::uint32_t a = 0; a < 6; ++a)
+        for (std::uint32_t b = a + 1; b < 6; ++b)
+            if (a != 0 || b != 5)
+                dense.islandLinks.push_back(
+                    {a, b, {(10.0 + a * 6 + b) * kGiga, (1 + b) * kMicro},
+                     {}});
+    const ClusterTopology dense_topo(dense);
+    expectFlowOracleMatchesPairScan(dense_topo, 14, 600, 12);
+
+    // Disjoint devices of islands 0..3 to islands 1..5: (0, 5) is
+    // the one spanned pair without an override, spanned one way.
+    DeviceSet src, dst;
+    for (std::uint32_t k = 0; k < 4; ++k)
+        src.push_back(dense_topo.islandDevices(k)[0]);
+    for (std::uint32_t k = 1; k < 6; ++k)
+        dst.push_back(dense_topo.islandDevices(k)[1]);
+    canonicalize(src);
+    canonicalize(dst);
+    CollectiveModel coll(dense_topo);
+    EXPECT_EQ(coll.flowTime(1e9, src, dst),
+              pairScanFlowTime(dense_topo, 1e9, src, dst));
+    EXPECT_EQ(coll.flowTime(1e9, src, dst),
+              1e9 / 4 / dense.interIsland.bandwidth +
+                  dense.interIsland.latency);
+}
+
+TEST(Collective, FlowOracleMatchesPairScanOnBandwidthTies)
+{
+    // On-device copy, intra and inter at one bandwidth: only the
+    // lower-latency tiebreak separates them, and an override ties
+    // the inter class on bandwidth at an even lower latency.
+    ClusterConfig cfg = permutedIslandsConfig();
+    cfg.device.copyBandwidth = 100 * kGiga;
+    cfg.intraIsland = {100 * kGiga, 5 * kMicro};
+    cfg.interIsland = {100 * kGiga, 3 * kMicro};
+    cfg.islands[2].intra = {100 * kGiga, 1 * kMicro};
+    expectFlowOracleMatchesPairScan(ClusterTopology(cfg), 15, 600, 24);
+    cfg.islandLinks.push_back({4, 9, {100 * kGiga, 0.5 * kMicro}, {}});
+    expectFlowOracleMatchesPairScan(ClusterTopology(cfg), 16, 600, 24);
+}
+
+TEST(Collective, FlowOracleMatchesPairScanOnDegradedTopology)
+{
+    ClusterConfig cfg = permutedIslandsConfig();
+    cfg.islands[3].intra = {500 * kGiga, 2 * kMicro};
+    cfg.islandLinks.push_back({0, 3, {150 * kGiga, 4 * kMicro}, {}});
+    cfg.islandLinks.push_back({3, 8, {25 * kGiga, 1 * kMicro}, {}});
+    const ClusterTopology full(cfg);
+    // Kill island 5 outright and thin out two more, so indices and
+    // ids are renumbered and an island-pair override is dropped.
+    DeviceSet dead = full.islandDevices(5);
+    dead.push_back(full.islandDevices(3).front());
+    dead.push_back(full.islandDevices(8).back());
+    canonicalize(dead);
+    const DegradedTopology degraded = full.withoutDevices(dead);
+    const ClusterTopology topo(degraded.config);
+    ASSERT_EQ(topo.numDevices(), 96u - 6u);
+    expectFlowOracleMatchesPairScan(topo, 17, 600, 24);
 }
 
 TEST(Collective, TpPricingIsAlgorithmInvariant)

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -92,6 +93,59 @@ TEST(Logging, PanicStaysFatalInsideRecoverableScope)
             panic("invariant broke");
         },
         "invariant broke");
+}
+
+/** A message piece that counts how often it is streamed. */
+struct CountingPiece
+{
+    int *streamed;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const CountingPiece &piece)
+{
+    ++*piece.streamed;
+    return os << "piece";
+}
+
+TEST(Logging, PassingChecksNeverFormatTheirMessage)
+{
+    int streamed = 0;
+    const CountingPiece piece{&streamed};
+    for (int i = 0; i < 3; ++i) {
+        panicIf(false, "occupy: bad device ", i, " ", piece);
+        fatalIf(false, "addEdge: bad src ", piece, " at ", 2.5);
+    }
+    EXPECT_EQ(streamed, 0);
+}
+
+TEST(Logging, FiringFatalIfFormatsThePiecesLikeStrCat)
+{
+    int streamed = 0;
+    const CountingPiece piece{&streamed};
+    const std::string expected =
+        strCat("withoutDevices: dead device id ", 4100u,
+               " out of range [0, ", 4096u, ") ", piece, " ", 0.25);
+    RecoverableScope scope;
+    try {
+        fatalIf(true, "withoutDevices: dead device id ", 4100u,
+                " out of range [0, ", 4096u, ") ", piece, " ", 0.25);
+        FAIL() << "fatalIf must throw inside a RecoverableScope";
+    } catch (const RecoverableError &err) {
+        EXPECT_EQ(err.what(), expected);
+    }
+    // Once for the reference strCat, once for the firing check.
+    EXPECT_EQ(streamed, 2);
+    // The single prebuilt-string form still compiles and reports
+    // the string verbatim.
+    EXPECT_THROW(fatalIf(true, std::string("prebuilt")), RecoverableError);
+}
+
+TEST(Logging, FiringPanicIfFormatsThePiecesLikeStrCat)
+{
+    EXPECT_DEATH(panicIf(true, "occupy: bad device ", 4097, " of ", 4096,
+                         " at t=", 1.5),
+                 "panic: occupy: bad device 4097 of 4096 at t=1\\.5");
 }
 
 TEST(NearlyEqual, AbsoluteAndRelative)

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <unordered_map>
+
 #include "common/math_util.h"
 #include "planner/planner.h"
 #include "test_util.h"
@@ -159,6 +162,108 @@ TEST_F(RuntimeFixture, PeakMemoryDedupsSharedParameters)
         graph.totalUniqueParamBytes() * (1 + mem.params().optimizerFactor);
     for (double b : peak)
         EXPECT_LE(b, replica);
+}
+
+/**
+ * Reference peak-memory accounting, one parameter map per device:
+ * the key's device group is the union of the devices hosting it,
+ * and each device sums its map in bucket order after its
+ * activations.
+ */
+std::vector<double>
+perDevicePeakMemory(const MetaGraph &graph, const ExecutionPlan &plan,
+                    const HardwareModel &hw, const MemoryModel &mem)
+{
+    auto key_of = [](const OperatorDesc &op) {
+        return op.paramKey != kNoParam
+                   ? static_cast<std::int64_t>(op.paramKey)
+                   : -(static_cast<std::int64_t>(op.id) + 2);
+    };
+    std::map<std::int64_t, DeviceSet> group_of;
+    for (const Wave &w : plan.waves) {
+        for (const WaveEntry &e : w.entries) {
+            const MetaOp &m = graph.metaOp(e.metaOp);
+            for (std::int64_t i = 0; i < e.numOps; ++i) {
+                const OperatorDesc &op =
+                    graph.base().op(m.ops[e.opBegin + i]);
+                if (op.paramBytes > 0)
+                    group_of[key_of(op)] =
+                        unionOf(group_of[key_of(op)], e.devices);
+            }
+        }
+    }
+    std::vector<std::unordered_map<std::int64_t, double>> params(
+        plan.numDevices);
+    std::vector<double> act(plan.numDevices, 0.0);
+    for (const Wave &w : plan.waves) {
+        for (const WaveEntry &e : w.entries) {
+            const MetaOp &m = graph.metaOp(e.metaOp);
+            const ParallelConfig cfg = hw.bestConfig(memberDesc(m), e.n);
+            const double act_share =
+                mem.activationBytesPerDevice(m, e.numOps, cfg);
+            for (DeviceId d : e.devices) {
+                act[d] += act_share;
+                for (std::int64_t i = 0; i < e.numOps; ++i) {
+                    const OperatorDesc &op =
+                        graph.base().op(m.ops[e.opBegin + i]);
+                    if (op.paramBytes <= 0)
+                        continue;
+                    const std::int64_t key = key_of(op);
+                    const double shard =
+                        op.paramBytes / cfg.tp /
+                        (mem.params().zeroShardParams ? cfg.dp : 1.0);
+                    const double share =
+                        shard +
+                        op.paramBytes * mem.params().optimizerFactor /
+                            (mem.params().zeroShardOptimizer
+                                 ? static_cast<double>(
+                                       group_of[key].size())
+                                 : cfg.tp);
+                    auto [it, inserted] = params[d].emplace(key, share);
+                    if (!inserted && share > it->second)
+                        it->second = share;
+                }
+            }
+        }
+    }
+    std::vector<double> peak(plan.numDevices, 0.0);
+    for (std::uint32_t d = 0; d < plan.numDevices; ++d) {
+        peak[d] = act[d];
+        for (const auto &[key, bytes] : params[d])
+            peak[d] += bytes;
+    }
+    return peak;
+}
+
+TEST(PeakMemory, MatchesPerDeviceReferenceBitForBit)
+{
+    struct Case
+    {
+        ComputationGraph graph;
+        std::uint32_t nodes;
+    };
+    Case cases[] = {
+        {fig3Workload(), 2},
+        {buildMultitaskClip({.numTasks = 4}), 8},
+        {buildMultitaskClip({.numTasks = 10}), 64},
+        {buildOfasys({.numTasks = 5}), 8},
+    };
+    for (const Case &c : cases) {
+        const MetaGraph meta = contractGraph(c.graph);
+        const ClusterTopology topo = smallCluster(c.nodes);
+        const HardwareModel hw(topo);
+        ExecutionPlanner planner(hw);
+        const PlannerOutput out = planner.plan(meta);
+        for (int zero = 0; zero < 4; ++zero) {
+            MemoryParams params;
+            params.zeroShardOptimizer = (zero & 1) != 0;
+            params.zeroShardParams = (zero & 2) != 0;
+            const MemoryModel mem(params);
+            SCOPED_TRACE(strCat(c.nodes, " nodes, zero flags ", zero));
+            EXPECT_EQ(peakMemoryPerDevice(meta, out.plan, hw, mem),
+                      perDevicePeakMemory(meta, out.plan, hw, mem));
+        }
+    }
 }
 
 TEST_F(RuntimeFixture, SyncOverlapReducesExposedCost)
