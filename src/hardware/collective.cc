@@ -1,6 +1,7 @@
 #include "hardware/collective.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -108,11 +109,6 @@ class FlatRingAlgorithm final : public CollectiveAlgorithm
   public:
     using CollectiveAlgorithm::CollectiveAlgorithm;
 
-    CollectiveKind kind() const override
-    {
-        return CollectiveKind::FlatRing;
-    }
-
     double
     allReduce(double bytes, const DeviceSet &group,
               const GroupDecomposition &) const override
@@ -150,8 +146,7 @@ class FlatRingAlgorithm final : public CollectiveAlgorithm
 /**
  * Bottleneck collective class among the island pairs the group
  * spans — the same bottleneck rule ClusterTopology::groupLink
- * applies, so per-island-pair overrides are respected. Shared by the
- * hierarchical and sharded-hierarchical algorithms.
+ * applies, so per-island-pair overrides are respected.
  */
 LinkParams
 interBottleneck(const ClusterTopology &topo,
@@ -173,128 +168,26 @@ interBottleneck(const ClusterTopology &topo,
 }
 
 /**
- * Three-phase island-aware schedule: ring reduce-scatter within each
- * island (intra class), ring all-reduce across per-island leaders
- * (bottleneck inter-island collective class), ring all-gather back
- * within each island. Single-island groups degenerate exactly to
- * the flat ring (identical formula over the identical link class).
+ * Island-aware three-phase schedule: ring reduce-scatter within each
+ * island (intra class), then the inter-island stage over the
+ * bottleneck inter-island collective class, then ring all-gather back
+ * within each island. The inter-island stage runs S = min(smallest
+ * island slice, bottleneck rail count, @p max_rings) concurrent
+ * rings, ring r threading the r-th member of every island slice and
+ * carrying bytes/S over its own rail; ring 0 is the per-island
+ * leader set. CollectiveKind::Hierarchical is this schedule capped at
+ * one ring (the single leader ring — bytes/1 is exact in IEEE),
+ * ShardedHierarchical is it uncapped. Single-island groups
+ * degenerate exactly to the flat ring (identical formula over the
+ * identical link class), like every algorithm here.
  */
-class HierarchicalAlgorithm final : public CollectiveAlgorithm
+class HierarchicalRingsAlgorithm final : public CollectiveAlgorithm
 {
   public:
-    using CollectiveAlgorithm::CollectiveAlgorithm;
-
-    CollectiveKind kind() const override
+    HierarchicalRingsAlgorithm(const ClusterTopology &topo,
+                               std::uint32_t max_rings)
+        : CollectiveAlgorithm(topo), max_rings_(max_rings)
     {
-        return CollectiveKind::Hierarchical;
-    }
-
-    double
-    allReduce(double bytes, const DeviceSet &group,
-              const GroupDecomposition &decomp) const override
-    {
-        if (group.size() <= 1)
-            return 0.0;
-        if (!decomp.spansIslands())
-            return CollectiveModel::ringAllReduce(
-                bytes, static_cast<std::uint32_t>(group.size()),
-                topo_.groupLink(group));
-        double rs_max = 0, ag_max = 0;
-        for (const IslandGroup &g : decomp.islands) {
-            const LinkParams &intra = topo_.intraLink(g.island);
-            rs_max = std::max(rs_max, CollectiveModel::ringReduceScatter(
-                                          bytes, g.size(), intra));
-            ag_max = std::max(ag_max, CollectiveModel::ringAllGather(
-                                          bytes, g.size(), intra));
-        }
-        const double inter = CollectiveModel::ringAllReduce(
-            bytes, decomp.numIslands(), interBottleneck(topo_, decomp));
-        return rs_max + inter + ag_max;
-    }
-
-    double
-    allGather(double bytes, const DeviceSet &group,
-              const GroupDecomposition &decomp) const override
-    {
-        if (group.size() <= 1)
-            return 0.0;
-        if (!decomp.spansIslands())
-            return CollectiveModel::ringAllGather(
-                bytes, static_cast<std::uint32_t>(group.size()),
-                topo_.groupLink(group));
-        // Leaders all-gather across islands, then every island
-        // broadcasts inward via its intra all-gather.
-        double ag_max = 0;
-        for (const IslandGroup &g : decomp.islands)
-            ag_max = std::max(ag_max,
-                              CollectiveModel::ringAllGather(
-                                  bytes, g.size(),
-                                  topo_.intraLink(g.island)));
-        return CollectiveModel::ringAllGather(
-                   bytes, decomp.numIslands(), interBottleneck(topo_, decomp)) +
-               ag_max;
-    }
-
-    CollectiveSchedule
-    allReduceSchedule(double bytes, const DeviceSet &group,
-                      const GroupDecomposition &decomp,
-                      const std::string &label) const override
-    {
-        CollectiveSchedule sched;
-        if (group.size() <= 1)
-            return sched;
-        if (!decomp.spansIslands()) {
-            // Exact flat-ring degeneration, single step included.
-            sched.stages.push_back(
-                {{group, allReduce(bytes, group, decomp), label}});
-            return sched;
-        }
-
-        std::vector<CollectiveStep> rs, ag;
-        for (const IslandGroup &g : decomp.islands) {
-            if (g.size() <= 1)
-                continue; // singleton island slices have no intra phase
-            const LinkParams &intra = topo_.intraLink(g.island);
-            rs.push_back({g.devices,
-                          CollectiveModel::ringReduceScatter(
-                              bytes, g.size(), intra),
-                          label + "_rs"});
-            ag.push_back({g.devices,
-                          CollectiveModel::ringAllGather(bytes, g.size(),
-                                                         intra),
-                          label + "_ag"});
-        }
-        if (!rs.empty())
-            sched.stages.push_back(std::move(rs));
-        sched.stages.push_back({{decomp.leaders,
-                                 CollectiveModel::ringAllReduce(
-                                     bytes, decomp.numIslands(),
-                                     interBottleneck(topo_, decomp)),
-                                 label + "_xr"}});
-        if (!ag.empty())
-            sched.stages.push_back(std::move(ag));
-        return sched;
-    }
-};
-
-/**
- * Rail-optimized hierarchical schedule: identical intra phases, but
- * the inter-island stage runs S = min(smallest island slice,
- * bottleneck rail count) concurrent rings, ring r threading the r-th
- * member of every island slice and carrying bytes/S over its own
- * rail. S == 1 (any rails == 1 fabric, or a singleton slice capping
- * the rings) reproduces the hierarchical algorithm bit for bit —
- * bytes/1 is exact in IEEE — and single-island groups degenerate to
- * the flat ring like every algorithm here.
- */
-class ShardedHierarchicalAlgorithm final : public CollectiveAlgorithm
-{
-  public:
-    using CollectiveAlgorithm::CollectiveAlgorithm;
-
-    CollectiveKind kind() const override
-    {
-        return CollectiveKind::ShardedHierarchical;
     }
 
     /** Concurrent inter-island rings this group can sustain. */
@@ -302,7 +195,7 @@ class ShardedHierarchicalAlgorithm final : public CollectiveAlgorithm
     shardCount(const GroupDecomposition &decomp,
                const LinkParams &inter) const
     {
-        return std::min(decomp.minSliceSize(), inter.rails);
+        return std::min({decomp.minSliceSize(), inter.rails, max_rings_});
     }
 
     double
@@ -389,8 +282,7 @@ class ShardedHierarchicalAlgorithm final : public CollectiveAlgorithm
         // One stage of S disjoint per-rail rings: ring r threads the
         // r-th member of every island slice (valid because S never
         // exceeds the smallest slice), so ring 0 is exactly the
-        // leader set and S == 1 reproduces the hierarchical stage
-        // byte for byte. Disjoint steps of one stage overlap in the
+        // leader set. Disjoint steps of one stage overlap in the
         // SyncExecutor, which is what makes the rings concurrent.
         const LinkParams inter_link = interBottleneck(topo_, decomp);
         const std::uint32_t shards = shardCount(decomp, inter_link);
@@ -413,6 +305,9 @@ class ShardedHierarchicalAlgorithm final : public CollectiveAlgorithm
             sched.stages.push_back(std::move(ag));
         return sched;
     }
+
+  private:
+    std::uint32_t max_rings_;
 };
 
 } // namespace
@@ -422,8 +317,9 @@ class ShardedHierarchicalAlgorithm final : public CollectiveAlgorithm
 
 CollectiveModel::CollectiveModel(const ClusterTopology &topo)
     : topo_(topo), flat_(std::make_unique<FlatRingAlgorithm>(topo)),
-      hierarchical_(std::make_unique<HierarchicalAlgorithm>(topo)),
-      sharded_(std::make_unique<ShardedHierarchicalAlgorithm>(topo))
+      hierarchical_(std::make_unique<HierarchicalRingsAlgorithm>(topo, 1)),
+      sharded_(std::make_unique<HierarchicalRingsAlgorithm>(
+          topo, std::numeric_limits<std::uint32_t>::max()))
 {
 }
 

@@ -9,19 +9,19 @@
  *    bottlenecked by the slowest collective link class the group
  *    spans (ClusterTopology::groupLink). Bit-reproducible legacy
  *    behaviour; the default.
- *  - Hierarchical — topology-aware three-phase schedule over the
- *    group's island decomposition: ring reduce-scatter within each
- *    island over its intra link class, ring all-reduce across the
- *    per-island leaders over the bottleneck inter-island collective
- *    class, ring all-gather back within each island. Single-island
- *    groups degenerate *exactly* to the flat ring.
- *  - ShardedHierarchical — the rail-optimized variant: same intra
- *    phases, but the inter-island stage runs
+ *  - ShardedHierarchical — topology-aware three-phase schedule over
+ *    the group's island decomposition: ring reduce-scatter within
+ *    each island over its intra link class, then
  *    S = min(smallest island slice, bottleneck rails) concurrent
- *    rings — ring r over the r-th member of every island slice —
- *    each carrying bytes/S over its own rail. Degenerates bit-exactly
- *    to Hierarchical when S == 1 (rails == 1 fabrics) and to the
- *    flat ring on single-island groups.
+ *    inter-island ring all-reduces over the bottleneck inter-island
+ *    collective class — ring r over the r-th member of every island
+ *    slice, each carrying bytes/S over its own rail — then ring
+ *    all-gather back within each island. Single-island groups
+ *    degenerate *exactly* to the flat ring.
+ *  - Hierarchical — the same schedule capped at S = 1: one ring
+ *    across the per-island leaders carrying all the bytes. The two
+ *    coincide bit for bit wherever S is 1 anyway (rails == 1
+ *    fabrics, or a singleton island slice).
  *  - Auto — per call, whichever of the three is cheapest (flat on
  *    ties; Hierarchical on a hierarchical/sharded tie).
  *
@@ -146,8 +146,6 @@ class CollectiveAlgorithm
     {
     }
     virtual ~CollectiveAlgorithm() = default;
-
-    virtual CollectiveKind kind() const = 0;
 
     /** All-reduce time of @p bytes over the decomposed group. */
     virtual double allReduce(double bytes, const DeviceSet &group,

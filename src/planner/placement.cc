@@ -352,15 +352,28 @@ DevicePlacement::generator() const
 
 PlacementResult
 DevicePlacement::place(const MetaGraph &graph, ExecutionPlan &plan,
+                       std::size_t resume_wave,
+                       const std::vector<PlacementCommit> &prefix,
                        std::vector<PlacementCommit> *commit_log) const
 {
+    panicIf(resume_wave == 0 && !prefix.empty(),
+            "DevicePlacement::place: prefix records without a resume wave");
     if (commit_log != nullptr)
         commit_log->clear();
+
+    // Comm-first from the replayed prefix (from scratch at wave 0).
+    // Replay recommits the donor's exact per-device state, and wave
+    // scoring reads only earlier commits plus graph data — never
+    // later waves — so this pass commits bit for bit what a
+    // from-scratch comm-first pass commits. The log starts with the
+    // prefix records, so it always equals the from-scratch pass's
+    // log: prefix first, then this pass's commits in wave-major
+    // order.
     PlacementResult result;
-    std::vector<CommitRecord> log;
+    std::vector<CommitRecord> log = prefix;
     std::size_t fail_wave = 0;
-    if (tryPlace(graph, plan, /*memory_first=*/false, result, 0, nullptr,
-                 &log, &fail_wave)) {
+    if (tryPlace(graph, plan, /*memory_first=*/false, result, resume_wave,
+                 &prefix, &log, &fail_wave)) {
         if (commit_log != nullptr)
             *commit_log = std::move(log);
         return result;
@@ -381,60 +394,6 @@ DevicePlacement::place(const MetaGraph &graph, ExecutionPlan &plan,
     }
 
     // Last resort: the historical full memory-first restart.
-    result = {};
-    result.usedMemoryFallback = true;
-    fatalIf(!tryPlace(graph, plan, /*memory_first=*/true, result, 0,
-                      nullptr, nullptr, nullptr),
-            "DevicePlacement: workload does not fit device memory even "
-            "with memory-first placement");
-    return result;
-}
-
-PlacementResult
-DevicePlacement::placeWithPrefix(
-    const MetaGraph &graph, ExecutionPlan &plan, std::size_t resume_wave,
-    const std::vector<PlacementCommit> &prefix,
-    std::vector<PlacementCommit> *commit_log) const
-{
-    if (resume_wave == 0)
-        return place(graph, plan, commit_log);
-    if (commit_log != nullptr)
-        commit_log->clear();
-
-    // Comm-first from the replayed prefix. Replay recommits the
-    // donor's exact per-device state, and wave scoring reads only
-    // earlier commits plus graph data — never later waves — so this
-    // pass commits bit for bit what a from-scratch comm-first pass
-    // commits (the donor's prefix for waves < resume_wave *is* that
-    // pass's prefix, since the leading levels are value-identical).
-    PlacementResult result;
-    std::vector<CommitRecord> fresh;
-    std::size_t fail_wave = 0;
-    if (tryPlace(graph, plan, /*memory_first=*/false, result, resume_wave,
-                 &prefix, &fresh, &fail_wave)) {
-        if (commit_log != nullptr) {
-            *commit_log = prefix;
-            commit_log->insert(commit_log->end(), fresh.begin(),
-                               fresh.end());
-        }
-        return result;
-    }
-
-    // Mirror place()'s fallback cascade exactly. The combined log
-    // below equals the log a from-scratch comm-first pass would have
-    // handed the partial restart: prefix records first, then this
-    // pass's fresh commits, in wave-major commit order.
-    std::vector<CommitRecord> combined = prefix;
-    combined.insert(combined.end(), fresh.begin(), fresh.end());
-    if (options_.partialFallbackRestart && fail_wave > 0) {
-        PlacementResult partial;
-        partial.usedMemoryFallback = true;
-        partial.fallbackRestartWave = fail_wave;
-        if (tryPlace(graph, plan, /*memory_first=*/true, partial,
-                     fail_wave, &combined, nullptr, nullptr))
-            return partial;
-    }
-
     result = {};
     result.usedMemoryFallback = true;
     fatalIf(!tryPlace(graph, plan, /*memory_first=*/true, result, 0,

@@ -237,30 +237,32 @@ class DevicePlacement
      * Fill WaveEntry::devices for every wave of @p plan.
      * fatal()s when even memory-first placement cannot fit.
      *
+     * A from-scratch placement resumes at wave 0 with an empty
+     * prefix. Otherwise waves before @p resume_wave must already
+     * carry the device sets a comm-first pass committed, and
+     * @p prefix must be that pass's commit records for those waves:
+     * the prefix is replayed (state committed, never re-scored) and
+     * scoring starts at @p resume_wave, so the filled plan is
+     * byte-identical to a from-scratch placement. Incremental
+     * replanning (ExecutionPlanner::replan()) resumes this way past
+     * the prefix of a cached plan.
+     *
+     * The fallback cascade: a comm-first pass; on failure, a
+     * memory-first pass from the first infeasible wave (when
+     * PlacementOptions::partialFallbackRestart); then a full
+     * memory-first restart.
+     *
      * When @p commit_log is non-null it receives the commit records
-     * of the successful comm-first pass, replayable as a placement
-     * prefix; it is left empty when the memory-first fallback was
-     * needed (a fallback log would mix scoring regimes).
+     * of the successful comm-first pass (prefix included),
+     * replayable as a placement prefix; it is left empty when the
+     * memory-first fallback was needed (a fallback log would mix
+     * scoring regimes).
      */
     PlacementResult
     place(const MetaGraph &graph, ExecutionPlan &plan,
+          std::size_t resume_wave = 0,
+          const std::vector<PlacementCommit> &prefix = {},
           std::vector<PlacementCommit> *commit_log = nullptr) const;
-
-    /**
-     * place() with a reused prefix: waves before @p resume_wave must
-     * already carry the device sets a comm-first pass committed, and
-     * @p prefix must be that pass's commit records for those waves.
-     * The prefix is replayed (state committed, never re-scored) and
-     * scoring starts at @p resume_wave; the full fallback cascade of
-     * place() applies beyond the prefix, so the filled plan is
-     * byte-identical to a from-scratch place(). Used by
-     * ExecutionPlanner::replan().
-     */
-    PlacementResult
-    placeWithPrefix(const MetaGraph &graph, ExecutionPlan &plan,
-                    std::size_t resume_wave,
-                    const std::vector<PlacementCommit> &prefix,
-                    std::vector<PlacementCommit> *commit_log = nullptr) const;
 
   private:
     struct Attempt;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <numeric>
+#include <optional>
 
 #include "common/logging.h"
 #include "runtime/memory_model.h"
@@ -76,6 +78,197 @@ curveKeyOf(const MetaOp &m, std::uint32_t max_devices)
             m.paramBytesPerOp, m.activationBytes, max_devices};
 }
 
+/** §3.2 memo: one scaling curve per MetaOp workload shape. */
+struct CurveMemo
+{
+    using Key = PlanCache::CurveKey;
+
+    PlanCache *cache;
+    std::uint64_t ctx;
+    const MetaGraph &graph;
+    std::uint32_t n;
+
+    Key key(std::size_t id) const
+    {
+        return curveKeyOf(graph.metaOps()[id], n);
+    }
+    std::optional<ScalingCurve> find(const Key &key) const
+    {
+        return cache->findCurve(ctx, key);
+    }
+    void store(const Key &key, const ScalingCurve &curve) const
+    {
+        cache->storeCurve(ctx, key, curve);
+    }
+    ScalingCurve adopt(ScalingCurve curve, std::size_t) const
+    {
+        return curve;
+    }
+};
+
+/** §3.3 memo: one allocation per level key. Values are stored
+ *  positionally and adopted onto the probing level's MetaOp ids. */
+struct LevelMemo
+{
+    using Key = PlanCache::LevelKey;
+
+    PlanCache *cache;
+    std::uint64_t ctx;
+    const MetaGraph &graph;
+    std::uint32_t n;
+
+    Key key(std::size_t level) const
+    {
+        Key key;
+        key.ops.reserve(graph.level(level).size());
+        for (MetaOpId id : graph.level(level)) {
+            const MetaOp &m = graph.metaOp(id);
+            key.ops.emplace_back(curveKeyOf(m, n), m.numOps());
+        }
+        return key;
+    }
+    std::optional<LevelAllocation> find(const Key &key) const
+    {
+        return cache->findLevelAlloc(ctx, key);
+    }
+    void store(const Key &key, const LevelAllocation &alloc) const
+    {
+        cache->storeLevelAlloc(ctx, key, alloc);
+    }
+    LevelAllocation adopt(LevelAllocation alloc, std::size_t level) const
+    {
+        const std::vector<MetaOpId> &ids = graph.level(level);
+        alloc.metaOps = ids;
+        panicIf(alloc.plans.size() != ids.size(),
+                "replan: cached allocation shape mismatch");
+        for (std::size_t i = 0; i < ids.size(); ++i)
+            alloc.plans[i].metaOp = ids[i];
+        return alloc;
+    }
+};
+
+/**
+ * One stage over @p count independent items (MetaOps for §3.2,
+ * levels for §3.3): item i gets compute(i), computed on @p pool.
+ *
+ * With a @p memo, keys are probed serially in item order first. A
+ * value the memo holds, or one an earlier item of this call computes,
+ * is a hit; only the misses are computed — in parallel — and stored
+ * back. A repeated key therefore counts as a hit after its first
+ * miss, exactly what a serial probe-compute-store loop counts, so
+ * @p hits / @p misses do not depend on the thread count. Without a
+ * memo no key is built.
+ */
+template <typename Value, typename Memo, typename Compute>
+std::vector<Value>
+memoizedStage(std::size_t count, ThreadPool *pool, const Memo *memo,
+              const Compute &compute, std::uint64_t &hits,
+              std::uint64_t &misses)
+{
+    std::vector<std::optional<Value>> slots(count);
+    std::vector<std::size_t> todo; // items to compute, ascending
+    std::vector<typename Memo::Key> keys;
+    std::vector<std::size_t> repeats; // item -> earlier miss, or count
+    if (memo == nullptr) {
+        todo.resize(count);
+        std::iota(todo.begin(), todo.end(), std::size_t{0});
+    } else {
+        keys.reserve(count);
+        repeats.assign(count, count);
+        for (std::size_t i = 0; i < count; ++i) {
+            keys.push_back(memo->key(i));
+            const auto first =
+                std::find_if(todo.begin(), todo.end(), [&](std::size_t j) {
+                    return keys[j] == keys[i];
+                });
+            if (first != todo.end()) {
+                repeats[i] = *first;
+                ++hits;
+            } else if (std::optional<Value> hit = memo->find(keys[i])) {
+                slots[i].emplace(memo->adopt(std::move(*hit), i));
+                ++hits;
+            } else {
+                todo.push_back(i);
+                ++misses;
+            }
+        }
+    }
+
+    maybeParallelFor(pool, /*parallel=*/true, 0, todo.size(), 1,
+                     [&](std::size_t t) {
+                         slots[todo[t]].emplace(compute(todo[t]));
+                     });
+
+    if (memo != nullptr) {
+        for (std::size_t i : todo)
+            memo->store(keys[i], *slots[i]);
+        for (std::size_t i = 0; i < count; ++i)
+            if (repeats[i] != count)
+                slots[i].emplace(memo->adopt(*slots[repeats[i]], i));
+    }
+
+    std::vector<Value> out;
+    out.reserve(count);
+    for (std::optional<Value> &slot : slots)
+        out.push_back(std::move(*slot));
+    return out;
+}
+
+/** Combined fingerprint of every cost-model parameter: the scaling
+ *  curves, and so every planned byte, depend on all of them. */
+std::uint64_t
+paramsFingerprint(const HardwareParams &p)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    h = mix(h, p.bwdFlopsFactor);
+    h = mix(h, p.kernelLaunch);
+    h = mix(h, p.halfEffFlops);
+    h = mix(h, p.smallKernelFlops);
+    h = mix(h, p.smallKernelFactor);
+    h = mix(h, p.tinyKernelFlops);
+    h = mix(h, p.tinyKernelFactor);
+    h = mix(h, p.minEfficiency);
+    h = mix(h, static_cast<std::uint64_t>(p.maxTpDegree));
+    return h;
+}
+
+/**
+ * Copy the device sets of @p donor's waves over its leading
+ * @p donor_levels levels into @p plan; returns the wave index
+ * placement resumes at.
+ */
+std::size_t
+replayDonorPrefix(const PlanCache::CachedPlan &donor,
+                  std::size_t donor_levels, ExecutionPlan &plan)
+{
+    std::size_t resume_wave = 0;
+    while (resume_wave < plan.waves.size() &&
+           plan.waves[resume_wave].level <
+               static_cast<std::int32_t>(donor_levels))
+        ++resume_wave;
+    panicIf(resume_wave > donor.plan.waves.size(),
+            "replan: donor prefix shorter than matched levels");
+    for (std::size_t w = 0; w < resume_wave; ++w) {
+        Wave &dst = plan.waves[w];
+        const Wave &src = donor.plan.waves[w];
+        // The matched levels are value-identical, so the waves the
+        // (deterministic) scheduler crafted for them must agree shape
+        // for shape.
+        panicIf(src.level != dst.level ||
+                    src.entries.size() != dst.entries.size(),
+                "replan: donor prefix wave shape mismatch");
+        for (std::size_t i = 0; i < dst.entries.size(); ++i) {
+            const WaveEntry &from = src.entries[i];
+            WaveEntry &to = dst.entries[i];
+            panicIf(from.n != to.n || from.opBegin != to.opBegin ||
+                        from.numOps != to.numOps,
+                    "replan: donor prefix entry mismatch");
+            to.devices = from.devices;
+        }
+    }
+    return resume_wave;
+}
+
 } // namespace
 
 ExecutionPlanner::ExecutionPlanner(const HardwareModel &hw,
@@ -86,66 +279,27 @@ ExecutionPlanner::ExecutionPlanner(const HardwareModel &hw,
     if (threads_ > 1)
         pool_ = std::make_unique<ThreadPool>(threads_);
     cache_context_ =
-        mix(hw.topology().fingerprint(), optionsFingerprint(options_));
+        mix(mix(hw.topology().fingerprint(), optionsFingerprint(options_)),
+            paramsFingerprint(hw.params()));
 }
 
 PlannerOutput
 ExecutionPlanner::plan(const MetaGraph &graph) const
 {
-    auto seconds = secondsBetween;
+    return runPipeline(graph, nullptr);
+}
 
-    const auto t0 = clock_type::now();
-    const std::uint32_t n = hw_.topology().numDevices();
-
-    PlannerOutput out;
-
-    // §3.2: profile the oracle and fit per-MetaOp scaling curves
-    // (one independent curve per MetaOp — parallel when pooled).
-    ScalabilityEstimator estimator(hw_, options_.estimator);
-    out.curves = estimator.estimateAll(graph, n, pool_.get());
-    const auto t_estimated = clock_type::now();
-    out.phaseSeconds.estimation = seconds(t0, t_estimated);
-
-    // §3.3: per-MetaLevel MPSP allocation + bi-point discretization
-    // (levels are data-independent — parallel when pooled).
-    ResourceAllocator allocator(graph, out.curves, n, options_.allocator);
-    std::vector<LevelAllocation> allocations =
-        allocator.allocateAll(pool_.get());
-    const auto t_allocated = clock_type::now();
-    out.phaseSeconds.allocation = seconds(t_estimated, t_allocated);
-
-    // §3.4: craft waves level by level, then merge.
-    WavefrontScheduler scheduler(graph, out.curves, n,
-                                 options_.scheduler);
-    out.plan.waves = scheduler.scheduleAll(allocations);
-    out.plan.numDevices = n;
-    out.plan.allocations = std::move(allocations);
-    out.plan.theoreticalOptimum = 0;
-    for (const LevelAllocation &a : out.plan.allocations)
-        out.plan.theoreticalOptimum += a.continuous.cStar;
-    out.plan.estimatedSpan = out.plan.waves.empty()
-        ? 0.0
-        : out.plan.waves.back().start + out.plan.waves.back().duration;
-    const auto t_scheduled = clock_type::now();
-    out.phaseSeconds.scheduling = seconds(t_allocated, t_scheduled);
-
-    // §3.5: map wave entries onto devices (the scoring sweep runs as
-    // a deterministic parallel reduction when pooled).
-    MemoryModel mem(options_.memory);
-    DevicePlacement placement(hw_.topology(), hw_, mem,
-                              options_.placement, pool_.get());
-    out.placement = placement.place(graph, out.plan);
-    const auto t_placed = clock_type::now();
-    out.phaseSeconds.placement = seconds(t_scheduled, t_placed);
-
-    // Re-annotate now that entries are placed: readiness gains the
-    // per device-group predecessor edges event dispatch relies on.
-    out.plan.annotateReadiness(graph);
-
-    out.plan.validate(graph);
-
-    out.planningSeconds = seconds(t0, clock_type::now());
-    return out;
+PlannerOutput
+ExecutionPlanner::replan(const MetaGraph &graph) const
+{
+    // Value transparency has two preconditions: estimation must be
+    // noise-free (noise draws are seeded per MetaOp id, invisible to
+    // positional signatures) and the placement configuration must be
+    // fingerprintable (a custom generator is an opaque pointer).
+    if (options_.estimator.noiseStdFrac > 0 ||
+        options_.placement.generator != nullptr)
+        return plan(graph);
+    return runPipeline(graph, &planCache());
 }
 
 PlanCache &
@@ -202,110 +356,84 @@ ExecutionPlanner::remapCachedPlan(const PlanCache::CachedPlan &hit,
 }
 
 PlannerOutput
-ExecutionPlanner::replan(const MetaGraph &graph) const
+ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
 {
-    // Value transparency has two preconditions: estimation must be
-    // noise-free (noise draws are seeded per MetaOp id, invisible to
-    // positional signatures) and the placement configuration must be
-    // fingerprintable (a custom generator is an opaque pointer).
-    if (options_.estimator.noiseStdFrac > 0 ||
-        options_.placement.generator != nullptr)
-        return plan(graph);
-
     auto seconds = secondsBetween;
     const auto t0 = clock_type::now();
     const std::uint32_t n = hw_.topology().numDevices();
-    PlanCache &cache = planCache();
     const std::uint64_t ctx = cache_context_;
 
     PlannerOutput out;
-    out.replan.attempted = true;
-    out.replan.totalLevels =
-        static_cast<std::uint32_t>(graph.numLevels());
+    GraphSignature sig;
+    auto t_diffed = t0;
+    if (cache != nullptr) {
+        out.replan.attempted = true;
+        out.replan.totalLevels =
+            static_cast<std::uint32_t>(graph.numLevels());
+        sig = signatureOf(graph);
 
-    GraphSignature sig = signatureOf(graph);
-
-    // ---- Full hit: this exact workload value was planned before in
-    // this context. Remap the cached plan's ids positionally; no
-    // pipeline stage runs.
-    if (const PlanCache::PlanPtr hit = cache.findPlan(ctx, sig)) {
-        out.replan.fullHit = true;
-        out.replan.reusedLevels = out.replan.totalLevels;
-        out.replan.prefixWaves =
-            static_cast<std::uint32_t>(hit->plan.waves.size());
-        cache.addStats({.fullHits = 1,
-                        .reusedLevels = graph.numLevels()});
-        out.phaseSeconds.diff = seconds(t0, clock_type::now());
-        remapCachedPlan(*hit, graph, out);
-        // Cheap insurance on the remap: re-derive readiness on the
-        // *new* graph and re-validate, keeping the byte-identity
-        // claim falsifiable on every hit.
-        out.plan.annotateReadiness(graph);
-        out.plan.validate(graph);
-        out.planningSeconds = seconds(t0, clock_type::now());
-        return out;
-    }
-    cache.addStats({.misses = 1});
-    const auto t_diffed = clock_type::now();
-    out.phaseSeconds.diff = seconds(t0, t_diffed);
-
-    // ---- Miss: run the pipeline, reusing memoized per-stage
-    // results. Estimation (§3.2) through the curve memo — curves
-    // depend only on the member workload shape and the cluster.
-    ScalabilityEstimator estimator(hw_, options_.estimator);
-    std::vector<ScalingCurve> curves;
-    curves.reserve(graph.numMetaOps());
-    for (const MetaOp &m : graph.metaOps()) {
-        const PlanCache::CurveKey key = curveKeyOf(m, n);
-        if (std::optional<ScalingCurve> hit = cache.findCurve(ctx, key)) {
-            curves.push_back(std::move(*hit));
-            ++out.replan.curveHits;
-        } else {
-            curves.push_back(estimator.estimate(m, n));
-            cache.storeCurve(ctx, key, curves.back());
-            ++out.replan.curveMisses;
+        // Full hit: this exact workload value was planned before in
+        // this context. Remap the cached plan's ids positionally; no
+        // pipeline stage runs.
+        if (const PlanCache::PlanPtr hit = cache->findPlan(ctx, sig)) {
+            out.replan.fullHit = true;
+            out.replan.reusedLevels = out.replan.totalLevels;
+            out.replan.prefixWaves =
+                static_cast<std::uint32_t>(hit->plan.waves.size());
+            cache->addStats({.fullHits = 1,
+                             .reusedLevels = graph.numLevels()});
+            out.phaseSeconds.diff = seconds(t0, clock_type::now());
+            remapCachedPlan(*hit, graph, out);
+            // Cheap insurance on the remap: re-derive readiness on
+            // the *new* graph and re-validate, keeping the
+            // byte-identity claim falsifiable on every hit.
+            out.plan.annotateReadiness(graph);
+            out.plan.validate(graph);
+            out.planningSeconds = seconds(t0, clock_type::now());
+            return out;
         }
+        cache->addStats({.misses = 1});
+        t_diffed = clock_type::now();
+        out.phaseSeconds.diff = seconds(t0, t_diffed);
     }
-    out.curves = std::move(curves);
-    cache.addStats({.curveHits = out.replan.curveHits,
-                    .curveMisses = out.replan.curveMisses});
+
+    // §3.2: profile the oracle and fit per-MetaOp scaling curves
+    // (mutually independent — the misses run in parallel when
+    // pooled). Curves depend only on the member workload shape and
+    // the cluster, which is what the curve memo keys on.
+    ScalabilityEstimator estimator(hw_, options_.estimator);
+    const CurveMemo curve_memo{cache, ctx, graph, n};
+    out.curves = memoizedStage<ScalingCurve>(
+        graph.numMetaOps(), pool_.get(), cache ? &curve_memo : nullptr,
+        [&](std::size_t id) {
+            return estimator.estimate(graph.metaOps()[id], n);
+        },
+        out.replan.curveHits, out.replan.curveMisses);
     const auto t_estimated = clock_type::now();
     out.phaseSeconds.estimation = seconds(t_diffed, t_estimated);
 
-    // Allocation (§3.3) through the per-level memo; hits are stored
-    // positionally and remapped onto this graph's ids.
+    // §3.3: per-MetaLevel MPSP allocation + bi-point discretization
+    // (levels are data-independent — parallel when pooled).
     ResourceAllocator allocator(graph, out.curves, n, options_.allocator);
-    std::vector<LevelAllocation> allocations(graph.numLevels());
-    for (std::size_t k = 0; k < graph.numLevels(); ++k) {
-        const std::vector<MetaOpId> &ids = graph.level(k);
-        PlanCache::LevelKey key;
-        key.ops.reserve(ids.size());
-        for (MetaOpId id : ids) {
-            const MetaOp &m = graph.metaOp(id);
-            key.ops.emplace_back(curveKeyOf(m, n), m.numOps());
-        }
-        if (std::optional<LevelAllocation> hit =
-                cache.findLevelAlloc(ctx, key)) {
-            allocations[k] = std::move(*hit);
-            allocations[k].metaOps = ids;
-            panicIf(allocations[k].plans.size() != ids.size(),
-                    "replan: cached allocation shape mismatch");
-            for (std::size_t i = 0; i < ids.size(); ++i)
-                allocations[k].plans[i].metaOp = ids[i];
-            ++out.replan.allocHits;
-        } else {
-            allocations[k] = allocator.allocateLevel(ids);
-            cache.storeLevelAlloc(ctx, key, allocations[k]);
-            ++out.replan.allocMisses;
-        }
-    }
-    cache.addStats({.allocHits = out.replan.allocHits,
-                     .allocMisses = out.replan.allocMisses});
+    const LevelMemo level_memo{cache, ctx, graph, n};
+    std::vector<LevelAllocation> allocations =
+        memoizedStage<LevelAllocation>(
+            graph.numLevels(), pool_.get(), cache ? &level_memo : nullptr,
+            [&](std::size_t k) {
+                return allocator.allocateLevel(graph.level(k));
+            },
+            out.replan.allocHits, out.replan.allocMisses);
+    if (cache != nullptr)
+        cache->addStats({.curveHits = out.replan.curveHits,
+                         .curveMisses = out.replan.curveMisses,
+                         .allocHits = out.replan.allocHits,
+                         .allocMisses = out.replan.allocMisses});
     const auto t_allocated = clock_type::now();
     out.phaseSeconds.allocation = seconds(t_estimated, t_allocated);
 
-    // Scheduling (§3.4) is recomputed — it is cheap and globally
-    // coupled (wave merging reads every level).
+    // §3.4: craft waves level by level, then merge. Never memoized:
+    // it is cheap and globally coupled (wave merging reads every
+    // level).
     WavefrontScheduler scheduler(graph, out.curves, n,
                                  options_.scheduler);
     out.plan.waves = scheduler.scheduleAll(allocations);
@@ -320,80 +448,62 @@ ExecutionPlanner::replan(const MetaGraph &graph) const
     const auto t_scheduled = clock_type::now();
     out.phaseSeconds.scheduling = seconds(t_allocated, t_scheduled);
 
-    // Placement (§3.5): replay the committed prefix of the cached
-    // plan sharing the longest level prefix with this workload, and
-    // score only the waves of perturbed levels. Prefix reuse relies
-    // on the Spindle strategy's state being wave-local; Sequential
-    // threads a device cursor through every wave, so it re-places
-    // from scratch (full hits above still apply).
+    // §3.5: map wave entries onto devices (the scoring sweep runs as
+    // a deterministic parallel reduction when pooled). With a cache,
+    // the committed prefix of the cached plan sharing the longest
+    // level prefix with this workload is replayed and only the waves
+    // of perturbed levels are scored. Prefix reuse relies on the
+    // Spindle strategy's state being wave-local; Sequential threads
+    // a device cursor through every wave, so it places from scratch
+    // (full hits above still apply).
     MemoryModel mem(options_.memory);
     DevicePlacement placement(hw_.topology(), hw_, mem,
                               options_.placement, pool_.get());
-    std::vector<PlacementCommit> commit_log;
-    std::size_t donor_levels = 0;
-    const PlanCache::PlanPtr donor =
-        options_.placement.strategy == PlacementStrategy::Spindle
-            ? cache.bestPrefixDonor(ctx, sig, &donor_levels)
-            : nullptr;
     std::size_t resume_wave = 0;
-    if (donor != nullptr && donor_levels > 0) {
-        while (resume_wave < out.plan.waves.size() &&
-               out.plan.waves[resume_wave].level <
-                   static_cast<std::int32_t>(donor_levels))
-            ++resume_wave;
-        panicIf(resume_wave > donor->plan.waves.size(),
-                "replan: donor prefix shorter than matched levels");
-        for (std::size_t w = 0; w < resume_wave; ++w) {
-            Wave &dst = out.plan.waves[w];
-            const Wave &src = donor->plan.waves[w];
-            // The matched levels are value-identical, so the waves
-            // the (deterministic) scheduler crafted for them must
-            // agree shape for shape.
-            panicIf(src.level != dst.level ||
-                        src.entries.size() != dst.entries.size(),
-                    "replan: donor prefix wave shape mismatch");
-            for (std::size_t i = 0; i < dst.entries.size(); ++i) {
-                const WaveEntry &from = src.entries[i];
-                WaveEntry &to = dst.entries[i];
-                panicIf(from.n != to.n || from.opBegin != to.opBegin ||
-                            from.numOps != to.numOps,
-                        "replan: donor prefix entry mismatch");
-                to.devices = from.devices;
-            }
+    std::vector<PlacementCommit> prefix;
+    std::vector<PlacementCommit> commit_log;
+    if (cache != nullptr &&
+        options_.placement.strategy == PlacementStrategy::Spindle) {
+        std::size_t donor_levels = 0;
+        const PlanCache::PlanPtr donor =
+            cache->bestPrefixDonor(ctx, sig, &donor_levels);
+        if (donor != nullptr && donor_levels > 0)
+            resume_wave = replayDonorPrefix(*donor, donor_levels, out.plan);
+        if (resume_wave > 0) {
+            for (const PlacementCommit &rec : donor->commitLog)
+                if (rec.wave < resume_wave)
+                    prefix.push_back(rec);
+            out.replan.reusedLevels =
+                static_cast<std::uint32_t>(donor_levels);
+            out.replan.prefixWaves = static_cast<std::uint32_t>(resume_wave);
+            cache->addStats({.reusedLevels = donor_levels});
         }
     }
-    if (resume_wave > 0) {
-        std::vector<PlacementCommit> prefix;
-        for (const PlacementCommit &rec : donor->commitLog)
-            if (rec.wave < resume_wave)
-                prefix.push_back(rec);
-        out.placement = placement.placeWithPrefix(
-            graph, out.plan, resume_wave, prefix, &commit_log);
-        out.replan.reusedLevels = static_cast<std::uint32_t>(donor_levels);
-        out.replan.prefixWaves = static_cast<std::uint32_t>(resume_wave);
-        cache.addStats({.reusedLevels = donor_levels});
-    } else {
-        out.placement = placement.place(graph, out.plan, &commit_log);
-    }
+    out.placement = placement.place(graph, out.plan, resume_wave, prefix,
+                                    cache ? &commit_log : nullptr);
     const auto t_placed = clock_type::now();
     out.phaseSeconds.placement = seconds(t_scheduled, t_placed);
 
+    // Re-annotate now that entries are placed: readiness gains the
+    // per device-group predecessor edges event dispatch relies on.
     out.plan.annotateReadiness(graph);
     out.plan.validate(graph);
 
     // Cache the result for future arrivals. commit_log is empty by
     // construction when the memory-first fallback ran, which is what
     // disqualifies fallback plans as future prefix donors.
-    PlanCache::CachedPlan entry;
-    entry.sig = std::move(sig);
-    entry.plan = out.plan;
-    entry.curves = out.curves;
-    entry.placement = out.placement;
-    entry.levelIds.resize(graph.numLevels());
-    for (std::size_t k = 0; k < graph.numLevels(); ++k)
-        entry.levelIds[k] = graph.level(k);
-    entry.commitLog = std::move(commit_log);
-    cache.storePlan(ctx, std::move(entry));
+    if (cache != nullptr) {
+        PlanCache::CachedPlan entry;
+        entry.sig = std::move(sig);
+        entry.plan = out.plan;
+        entry.curves = out.curves;
+        entry.placement = out.placement;
+        entry.levelIds.resize(graph.numLevels());
+        for (std::size_t k = 0; k < graph.numLevels(); ++k)
+            entry.levelIds[k] = graph.level(k);
+        entry.commitLog = std::move(commit_log);
+        cache->storePlan(ctx, std::move(entry));
+    }
 
     out.planningSeconds = seconds(t0, clock_type::now());
     return out;

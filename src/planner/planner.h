@@ -6,16 +6,20 @@
  * placement (§3.5), producing the execution plan the runtime engine
  * consumes.
  *
- * Two entry points:
- *  - plan() always runs the full pipeline from scratch — it is the
- *    byte-identity reference and never reads or writes the cache;
- *  - replan() serves dynamic arrivals/departures (Fig. 13) through a
- *    PlanCache: a workload whose value signature was planned before
- *    in the same (topology, options) context is returned from the
- *    cache with its MetaOp ids remapped, and on a miss the pipeline
- *    reuses cached scaling curves, level allocations, and the
- *    committed placement prefix of the best cached neighbor — so
- *    replan cost scales with the perturbation, not the cluster.
+ * The four stages run as one pipeline with an optional PlanCache as
+ * its memo, behind two entry points:
+ *  - plan() is the pipeline run without a cache: always from
+ *    scratch, the byte-identity reference, and it never reads or
+ *    writes the cache;
+ *  - replan() serves dynamic arrivals/departures (Fig. 13) by running
+ *    the same pipeline with planCache() as its memo: a workload whose
+ *    value signature was planned before in the same context is
+ *    returned from the cache with its MetaOp ids remapped, and on a
+ *    miss the stages reuse cached scaling curves, level allocations,
+ *    and the committed placement prefix of the best cached neighbor —
+ *    so replan cost scales with the perturbation, not the cluster.
+ *    The context mixes the topology fingerprint, the cost-model
+ *    HardwareParams and the plan-affecting planner options.
  *    replan() output is byte-identical to plan() on the same graph
  *    (pinned by planner_equivalence_test).
  */
@@ -62,10 +66,10 @@ struct PlannerOptions
      * cache. Sharing one cache between planners is safe, including
      * planners replanning concurrently on different threads —
      * PlanCache is internally synchronized (striped locks), and
-     * entries are keyed by a (topology fingerprint, options
-     * fingerprint) context, so near-identical workloads from
-     * different tenants dedupe into full hits while different
-     * contexts never collide. Excluded from the context fingerprint
+     * entries are keyed by a (topology fingerprint, HardwareParams
+     * fingerprint, options fingerprint) context, so near-identical
+     * workloads from different tenants dedupe into full hits while
+     * different contexts never collide. Excluded from the context fingerprint
      * itself, like `threads`.
      */
     PlanCache *cache = nullptr;
@@ -190,6 +194,13 @@ class ExecutionPlanner
     PlanCache &planCache() const;
 
   private:
+    /** The pipeline: estimate, allocate, schedule, place. With
+     *  @p cache it probes for a full hit first, then memoizes
+     *  curves, level allocations and the placement prefix through
+     *  it; without one it plans from scratch. */
+    PlannerOutput runPipeline(const MetaGraph &graph,
+                              PlanCache *cache) const;
+
     void remapCachedPlan(const PlanCache::CachedPlan &hit,
                          const MetaGraph &graph, PlannerOutput &out) const;
 
@@ -206,7 +217,8 @@ class ExecutionPlanner
      *  independent of cache state). */
     mutable std::unique_ptr<PlanCache> owned_cache_;
 
-    /** Cache context: topology fingerprint ⊕ options fingerprint. */
+    /** Cache context: topology fingerprint ⊕ HardwareParams
+     *  fingerprint ⊕ options fingerprint. */
     std::uint64_t cache_context_ = 0;
 };
 

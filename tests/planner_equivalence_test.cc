@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <deque>
 #include <limits>
@@ -1106,28 +1107,66 @@ TEST(PlannerEquivalence, EngineOptionsPlannerThreadsPlumbing)
 // Incremental replanning (plan cache)
 // ===================================================================
 
+void
+expectSameReplanStats(const ReplanStats &a, const ReplanStats &b)
+{
+    EXPECT_EQ(a.attempted, b.attempted);
+    EXPECT_EQ(a.fullHit, b.fullHit);
+    EXPECT_EQ(a.totalLevels, b.totalLevels);
+    EXPECT_EQ(a.reusedLevels, b.reusedLevels);
+    EXPECT_EQ(a.prefixWaves, b.prefixWaves);
+    EXPECT_EQ(a.curveHits, b.curveHits);
+    EXPECT_EQ(a.curveMisses, b.curveMisses);
+    EXPECT_EQ(a.allocHits, b.allocHits);
+    EXPECT_EQ(a.allocMisses, b.allocMisses);
+}
+
+void
+expectCacheUntouched(const PlanCache &cache)
+{
+    const PlanCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.fullHits, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.curveHits, 0u);
+    EXPECT_EQ(stats.curveMisses, 0u);
+    EXPECT_EQ(stats.allocHits, 0u);
+    EXPECT_EQ(stats.allocMisses, 0u);
+    EXPECT_EQ(stats.reusedLevels, 0u);
+    EXPECT_EQ(stats.evictions, 0u);
+}
+
 /**
  * plan() vs cold replan() (cache miss: curve/level memos plus the
  * prefix-donor machinery) vs warm replan() (full hit: positional id
- * remap of the cached plan) at every thread count. All three must
- * be byte-identical — plan() never touches the cache, so it stays
- * the from-scratch reference throughout.
+ * remap of the cached plan) at every thread count — and, given a
+ * @p donor workload sharing leading levels with @p graph, vs a
+ * partial-prefix replan() on a cache seeded with the donor. All must
+ * be byte-identical, and each kind of replan() must report the same
+ * ReplanStats at every thread count. plan() runs on a planner whose
+ * options.cache is set, yet must leave that cache untouched, so it
+ * stays the from-scratch reference throughout.
  */
 void
 expectReplanMatchesPlan(const ComputationGraph &graph,
-                        ClusterConfig cluster, PlannerOptions options = {})
+                        ClusterConfig cluster, PlannerOptions options = {},
+                        const ComputationGraph *donor = nullptr)
 {
     ClusterTopology topo(std::move(cluster));
     HardwareModel hw(topo);
     MetaGraph meta = contractGraph(graph);
 
+    // Per thread count: cold, partial-prefix and warm replan stats.
+    std::vector<std::array<ReplanStats, 3>> stats;
     for (std::uint32_t threads : {1u, 2u, 8u}) {
         SCOPED_TRACE(strCat("threads=", threads));
+        PlanCache cache;
         PlannerOptions threaded = options;
         threaded.threads = threads;
+        threaded.cache = &cache;
         ExecutionPlanner planner(hw, threaded);
 
         PlannerOutput ref = planner.plan(meta);
+        expectCacheUntouched(cache);
 
         PlannerOutput cold = planner.replan(meta);
         EXPECT_TRUE(cold.replan.attempted);
@@ -1141,18 +1180,41 @@ expectReplanMatchesPlan(const ComputationGraph &graph,
         EXPECT_EQ(warm.replan.reusedLevels, warm.replan.totalLevels);
         expectPlansIdentical(ref.plan, warm.plan);
         expectPlacementsIdentical(ref.placement, warm.placement);
+
+        ReplanStats prefix;
+        if (donor != nullptr) {
+            PlanCache seeded_cache;
+            threaded.cache = &seeded_cache;
+            ExecutionPlanner seeded(hw, threaded);
+            MetaGraph donor_meta = contractGraph(*donor);
+            EXPECT_FALSE(seeded.replan(donor_meta).replan.fullHit);
+            PlannerOutput inc = seeded.replan(meta);
+            EXPECT_FALSE(inc.replan.fullHit);
+            EXPECT_GT(inc.replan.reusedLevels, 0u);
+            EXPECT_GT(inc.replan.prefixWaves, 0u);
+            expectPlansIdentical(ref.plan, inc.plan);
+            expectPlacementsIdentical(ref.placement, inc.placement);
+            prefix = inc.replan;
+        }
+        stats.push_back({cold.replan, prefix, warm.replan});
     }
+    for (std::size_t t = 1; t < stats.size(); ++t)
+        for (std::size_t kind = 0; kind < 3; ++kind) {
+            SCOPED_TRACE(strCat("thread count #", t, ", replan #", kind));
+            expectSameReplanStats(stats[0][kind], stats[t][kind]);
+        }
 }
 
 void
 expectReplanMatchesPlanOnNodes(const ComputationGraph &graph,
                                std::uint32_t num_nodes,
-                               PlannerOptions options = {})
+                               PlannerOptions options = {},
+                               const ComputationGraph *donor = nullptr)
 {
     ClusterConfig cluster;
     cluster.numNodes = num_nodes;
     cluster.gpusPerNode = 8;
-    expectReplanMatchesPlan(graph, std::move(cluster), options);
+    expectReplanMatchesPlan(graph, std::move(cluster), options, donor);
 }
 
 TEST(PlannerEquivalence, ReplanSeedWorkloads)
@@ -1276,6 +1338,15 @@ TEST(PlannerEquivalence, ReplanReusesUntouchedLevelPrefix)
         expectPlansIdentical(ref.plan, warm.plan);
         expectPlacementsIdentical(ref.placement, warm.placement);
     }
+}
+
+TEST(PlannerEquivalence, ReplanPartialPrefixStatsMatchAcrossThreads)
+{
+    // The chain seeded with a narrower tail donates its two leading
+    // levels; the prefix replan's memo counters and reuse must not
+    // depend on the thread count.
+    ComputationGraph donor = chainWorkload(1024);
+    expectReplanMatchesPlanOnNodes(chainWorkload(2048), 2, {}, &donor);
 }
 
 TEST(PlannerEquivalence, ReplanArrivalOscillation)

@@ -207,9 +207,10 @@ TEST(Planner, TopologyFingerprintHashesResolvedState)
 TEST(Planner, PlanCacheInvalidatedByTopologyContext)
 {
     // One externally owned cache shared by planners on three
-    // topologies: results cached on one cluster must never leak
-    // into another's context, and foreign contexts must not evict
-    // the original entry.
+    // topologies, and by one more on A's topology with different
+    // HardwareParams: results cached in one context must never leak
+    // into another, and foreign contexts must not evict the original
+    // entry.
     ComputationGraph g = buildMultitaskClip({.numTasks = 4});
     MetaGraph meta = contractGraph(g);
 
@@ -247,6 +248,18 @@ TEST(Planner, PlanCacheInvalidatedByTopologyContext)
 
     EXPECT_EQ(cache.stats().fullHits, 2u);
     EXPECT_EQ(cache.stats().misses, 3u);
+
+    // A's topology under other cost-model parameters: the curves, and
+    // so the plan, differ, and A's entry must not be served.
+    HardwareParams params_d;
+    params_d.bwdFlopsFactor = 4;
+    params_d.halfEffFlops = 3e11;
+    HardwareModel hw_d(topo_a, params_d);
+    ExecutionPlanner pd(hw_d, options);
+    PlannerOutput replanned_d = pd.replan(meta);
+    EXPECT_FALSE(replanned_d.replan.fullHit);
+    expectSameBytes(pd.plan(meta), replanned_d);
+    EXPECT_EQ(cache.stats().misses, 4u);
 }
 
 TEST(Planner, PlanCacheHitsOnPermutedEquivalentWorkload)

@@ -212,6 +212,41 @@ TEST(PlanService, MultiTenantTopologiesKeepContextsApart)
     expectOutputsIdentical(want_b, jb->result());
 }
 
+TEST(PlanService, ClusterTenantsWithDifferentHardwareParamsKeepContextsApart)
+{
+    // Two submitWithCluster tenants on one cluster spec but different
+    // cost-model parameters plan different bytes, so the second must
+    // not be served the first's cached plan.
+    ComputationGraph g = fig3Workload();
+    MetaGraph meta = contractGraph(g);
+
+    ClusterConfig tenant_cfg;
+    tenant_cfg.numNodes = 2;
+    tenant_cfg.gpusPerNode = 8;
+    HardwareParams params_b;
+    params_b.bwdFlopsFactor = 4;
+    params_b.halfEffFlops = 3e11;
+
+    ClusterTopology tenant_topo(tenant_cfg);
+    HardwareModel hw_a(tenant_topo);
+    HardwareModel hw_b(tenant_topo, params_b);
+    PlannerOutput want_a = ExecutionPlanner(hw_a).plan(meta);
+    PlannerOutput want_b = ExecutionPlanner(hw_b).plan(meta);
+    ASSERT_FALSE(sameBits(want_a.plan.estimatedSpan,
+                          want_b.plan.estimatedSpan));
+
+    ClusterTopology topo = smallCluster(1);
+    HardwareModel hw(topo);
+    PlanService service(hw, serviceOpts(2));
+    PlanJobHandle ja = service.submitWithCluster(meta, tenant_cfg);
+    ASSERT_EQ(ja->wait(), PlanJobState::Done);
+    PlanJobHandle jb = service.submitWithCluster(meta, tenant_cfg, params_b);
+    ASSERT_EQ(jb->wait(), PlanJobState::Done);
+    expectOutputsIdentical(want_a, ja->result());
+    expectOutputsIdentical(want_b, jb->result());
+    EXPECT_FALSE(jb->result().replan.fullHit);
+}
+
 // ===================================================================
 // Dedupe accounting
 // ===================================================================
