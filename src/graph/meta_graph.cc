@@ -1,6 +1,7 @@
 #include "graph/meta_graph.h"
 
 #include <algorithm>
+#include <map>
 
 #include "common/logging.h"
 
@@ -109,6 +110,37 @@ MetaGraph::level(std::size_t k) const
 {
     panicIf(k >= levels_.size(), "level: bad index ", k);
     return levels_[k];
+}
+
+std::vector<std::uint32_t>
+paramSharingWidths(const MetaGraph &graph)
+{
+    // Holders of each shared key, in MetaOp id order.
+    std::map<ParamKey, std::vector<MetaOpId>> holders;
+    for (const MetaOp &m : graph.metaOps())
+        for (OpId op : m.ops)
+            if (const ParamKey key = graph.base().op(op).paramKey;
+                key != kNoParam) {
+                std::vector<MetaOpId> &ids = holders[key];
+                if (ids.empty() || ids.back() != m.id)
+                    ids.push_back(m.id);
+            }
+
+    std::vector<std::uint32_t> out;
+    out.reserve(graph.numMetaOps());
+    std::vector<MetaOpId> sharers;
+    for (const MetaOp &m : graph.metaOps()) {
+        sharers.assign(1, m.id);
+        for (OpId op : m.ops)
+            if (const ParamKey key = graph.base().op(op).paramKey;
+                key != kNoParam)
+                sharers.insert(sharers.end(), holders[key].begin(),
+                               holders[key].end());
+        std::sort(sharers.begin(), sharers.end());
+        out.push_back(static_cast<std::uint32_t>(
+            std::unique(sharers.begin(), sharers.end()) - sharers.begin()));
+    }
+    return out;
 }
 
 } // namespace spindle

@@ -113,6 +113,14 @@ class MetaGraph
     std::vector<std::vector<MetaOpId>> levels_;
 };
 
+/**
+ * Per MetaOp, indexed by id: how many MetaOps hold at least one of
+ * its shared ParamKeys, itself included (1 without shared keys). A
+ * MetaOp on n devices syncs those gradients over up to n times this
+ * many devices.
+ */
+std::vector<std::uint32_t> paramSharingWidths(const MetaGraph &graph);
+
 } // namespace spindle
 
 #endif // SPINDLE_GRAPH_META_GRAPH_H

@@ -49,6 +49,14 @@
 
 namespace spindle {
 
+/**
+ * Share of a gradient all-reduce that bucketing cannot hide under
+ * backward compute. The engine's default exposed-sync floor
+ * (EngineOptions::minSyncFraction) and the planner's sync price
+ * (PlannerOptions::syncAwareAllocation) read this one constant.
+ */
+inline constexpr double kMinSyncFraction = 0.25;
+
 /** Which collective algorithm a consumer selects. */
 enum class CollectiveKind : std::uint8_t
 {

@@ -562,4 +562,34 @@ ClusterTopology::groupLink(const DeviceSet &devices) const
     return *worst;
 }
 
+LinkParams
+ClusterTopology::ringLinkAtWidth(std::uint32_t width) const
+{
+    if (width <= 1)
+        return {config_.device.copyBandwidth, 0.0};
+    if (width <= max_island_size_) {
+        if (uniform_links_)
+            return intra_links_.front();
+        const LinkParams *slowest = nullptr;
+        for (std::size_t i = 0; i < islands_.size(); ++i)
+            if (islands_[i].size() >= width &&
+                (slowest == nullptr ||
+                 intra_links_[i].bandwidth < slowest->bandwidth))
+                slowest = &intra_links_[i];
+        return *slowest;
+    }
+    if (uniform_links_)
+        return config_.interIslandCollective;
+    // Island pairs without an override use the default class.
+    const std::size_t k = islands_.size();
+    const LinkParams *slowest = pair_links_.size() < k * (k - 1) / 2
+        ? &config_.interIslandCollective
+        : nullptr;
+    for (const PairLinks &pair : pair_links_)
+        if (slowest == nullptr ||
+            pair.collective.bandwidth < slowest->bandwidth)
+            slowest = &pair.collective;
+    return *slowest;
+}
+
 } // namespace spindle

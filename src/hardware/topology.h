@@ -269,6 +269,17 @@ class ClusterTopology
     LinkParams groupLink(const DeviceSet &devices) const;
 
     /**
+     * The ring bottleneck of a group of @p width devices packed into
+     * as few islands as possible, without naming the devices: the
+     * slowest intra class among islands that hold @p width devices,
+     * else the slowest inter-island collective class of the fabric.
+     * On a uniform fabric this is groupLink() of any group of that
+     * width placed island-first. The planner prices a MetaOp's
+     * gradient sync at each candidate width with it.
+     */
+    LinkParams ringLinkAtWidth(std::uint32_t width) const;
+
+    /**
      * Derive the surviving topology after the devices of @p dead
      * fail (failure recovery / elastic shrink): dead devices are
      * removed from their islands, islands left empty are dropped

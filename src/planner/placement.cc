@@ -356,6 +356,20 @@ DevicePlacement::place(const MetaGraph &graph, ExecutionPlan &plan,
                        const std::vector<PlacementCommit> &prefix,
                        std::vector<PlacementCommit> *commit_log) const
 {
+    std::optional<PlacementResult> result =
+        placeIfFits(graph, plan, resume_wave, prefix, commit_log);
+    fatalIf(!result,
+            "DevicePlacement: workload does not fit device memory even "
+            "with memory-first placement");
+    return std::move(*result);
+}
+
+std::optional<PlacementResult>
+DevicePlacement::placeIfFits(const MetaGraph &graph, ExecutionPlan &plan,
+                             std::size_t resume_wave,
+                             const std::vector<PlacementCommit> &prefix,
+                             std::vector<PlacementCommit> *commit_log) const
+{
     panicIf(resume_wave == 0 && !prefix.empty(),
             "DevicePlacement::place: prefix records without a resume wave");
     if (commit_log != nullptr)
@@ -396,10 +410,9 @@ DevicePlacement::place(const MetaGraph &graph, ExecutionPlan &plan,
     // Last resort: the historical full memory-first restart.
     result = {};
     result.usedMemoryFallback = true;
-    fatalIf(!tryPlace(graph, plan, /*memory_first=*/true, result, 0,
-                      nullptr, nullptr, nullptr),
-            "DevicePlacement: workload does not fit device memory even "
-            "with memory-first placement");
+    if (!tryPlace(graph, plan, /*memory_first=*/true, result, 0, nullptr,
+                  nullptr, nullptr))
+        return std::nullopt;
     return result;
 }
 

@@ -86,6 +86,7 @@
 #ifndef SPINDLE_PLANNER_PLACEMENT_H
 #define SPINDLE_PLANNER_PLACEMENT_H
 
+#include <optional>
 #include <vector>
 
 #include "planner/execution_plan.h"
@@ -263,6 +264,15 @@ class DevicePlacement
           std::size_t resume_wave = 0,
           const std::vector<PlacementCommit> &prefix = {},
           std::vector<PlacementCommit> *commit_log = nullptr) const;
+
+    /** place(), but nullopt instead of fatal() when even memory-first
+     *  placement cannot fit (the planner then tries another
+     *  allocation). */
+    std::optional<PlacementResult>
+    placeIfFits(const MetaGraph &graph, ExecutionPlan &plan,
+                std::size_t resume_wave = 0,
+                const std::vector<PlacementCommit> &prefix = {},
+                std::vector<PlacementCommit> *commit_log = nullptr) const;
 
   private:
     struct Attempt;

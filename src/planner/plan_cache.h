@@ -168,13 +168,23 @@ class PlanCache
 
         PlacementResult placement;
 
+        /** PlannerOutput::syncBlindFallback of the cached plan. */
+        bool syncBlindFallback = false;
+
+        /** paramSharingWidths by donor MetaOp id when sync-aware
+         *  allocation priced the plan, else empty. Sharers in later
+         *  levels are not part of a level prefix, so a prefix donor
+         *  matches only as far as these do. */
+        std::vector<std::uint32_t> sharing;
+
         /** Donor MetaOp ids by (level, position) — the remap key. */
         std::vector<std::vector<MetaOpId>> levelIds;
 
         /**
          * Comm-first placement commit log, replayable as a prefix.
          * Empty when the plan needed the memory-first fallback (such
-         * logs would mix scoring regimes and are unusable).
+         * logs would mix scoring regimes and are unusable) or the
+         * sync-blind allocation fallback.
          */
         std::vector<PlacementCommit> commitLog;
     };
@@ -191,11 +201,21 @@ class PlanCache
         bool operator==(const CurveKey &) const = default;
     };
 
-    /** Key of one cached level allocation: per-position workload
-     *  shape plus operator count (everything §3.3 reads). */
+    /** Everything §3.3 reads of one MetaOp: its workload shape, its
+     *  operator count, and the ParamKey sharing width its sync is
+     *  priced at (0 when sync-aware allocation is off). */
+    struct LevelOpKey
+    {
+        CurveKey curve;
+        std::int64_t numOps = 0;
+        std::uint32_t sharing = 0;
+        bool operator==(const LevelOpKey &) const = default;
+    };
+
+    /** Key of one cached level allocation, position by position. */
     struct LevelKey
     {
-        std::vector<std::pair<CurveKey, std::int64_t>> ops;
+        std::vector<LevelOpKey> ops;
         bool operator==(const LevelKey &) const = default;
     };
 

@@ -67,6 +67,7 @@ optionsFingerprint(const PlannerOptions &o)
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardOptimizer));
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardParams));
     h = mix(h, o.memory.activationFactor);
+    h = mix(h, static_cast<std::uint64_t>(o.syncAwareAllocation));
     return h;
 }
 
@@ -116,6 +117,8 @@ struct LevelMemo
     std::uint64_t ctx;
     const MetaGraph &graph;
     std::uint32_t n;
+    /** Sync pricing widths by MetaOp id; empty when not priced. */
+    const std::vector<std::uint32_t> &sharing;
 
     Key key(std::size_t level) const
     {
@@ -123,7 +126,8 @@ struct LevelMemo
         key.ops.reserve(graph.level(level).size());
         for (MetaOpId id : graph.level(level)) {
             const MetaOp &m = graph.metaOp(id);
-            key.ops.emplace_back(curveKeyOf(m, n), m.numOps());
+            key.ops.push_back({curveKeyOf(m, n), m.numOps(),
+                               sharing.empty() ? 0 : sharing[id]});
         }
         return key;
     }
@@ -269,6 +273,25 @@ replayDonorPrefix(const PlanCache::CachedPlan &donor,
     return resume_wave;
 }
 
+/**
+ * Leading levels, of the first @p levels, whose MetaOps have the
+ * sharing widths of @p donor's position by position.
+ */
+std::size_t
+sharingPrefixLevels(const PlanCache::CachedPlan &donor,
+                    const MetaGraph &graph,
+                    const std::vector<std::uint32_t> &sharing,
+                    std::size_t levels)
+{
+    for (std::size_t k = 0; k < levels; ++k) {
+        const std::vector<MetaOpId> &ids = graph.level(k);
+        for (std::size_t p = 0; p < ids.size(); ++p)
+            if (sharing[ids[p]] != donor.sharing[donor.levelIds[k][p]])
+                return k;
+    }
+    return levels;
+}
+
 } // namespace
 
 ExecutionPlanner::ExecutionPlanner(const HardwareModel &hw,
@@ -319,6 +342,7 @@ ExecutionPlanner::remapCachedPlan(const PlanCache::CachedPlan &hit,
 {
     out.plan = hit.plan;
     out.placement = hit.placement;
+    out.syncBlindFallback = hit.syncBlindFallback;
     out.curves = hit.curves;
 
     // Positional id map: donor (level, pos) id -> this graph's id.
@@ -412,10 +436,24 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
     const auto t_estimated = clock_type::now();
     out.phaseSeconds.estimation = seconds(t_diffed, t_estimated);
 
+    // Sync-aware pricing: §3.3 and §3.4 read each MetaOp's curve
+    // with its sync tail folded in; out.curves stay compute-only.
+    std::vector<std::uint32_t> sharing;
+    std::vector<ScalingCurve> priced;
+    if (options_.syncAwareAllocation) {
+        sharing = paramSharingWidths(graph);
+        priced.reserve(graph.numMetaOps());
+        for (const MetaOp &m : graph.metaOps())
+            priced.push_back(syncPricedCurve(out.curves[m.id], m,
+                                             sharing[m.id], hw_.topology()));
+    }
+    const std::vector<ScalingCurve> &curves =
+        options_.syncAwareAllocation ? priced : out.curves;
+
     // §3.3: per-MetaLevel MPSP allocation + bi-point discretization
     // (levels are data-independent — parallel when pooled).
-    ResourceAllocator allocator(graph, out.curves, n, options_.allocator);
-    const LevelMemo level_memo{cache, ctx, graph, n};
+    ResourceAllocator allocator(graph, curves, n, options_.allocator);
+    const LevelMemo level_memo{cache, ctx, graph, n, sharing};
     std::vector<LevelAllocation> allocations =
         memoizedStage<LevelAllocation>(
             graph.numLevels(), pool_.get(), cache ? &level_memo : nullptr,
@@ -433,18 +471,23 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
 
     // §3.4: craft waves level by level, then merge. Never memoized:
     // it is cheap and globally coupled (wave merging reads every
-    // level).
-    WavefrontScheduler scheduler(graph, out.curves, n,
-                                 options_.scheduler);
-    out.plan.waves = scheduler.scheduleAll(allocations);
-    out.plan.numDevices = n;
-    out.plan.allocations = std::move(allocations);
-    out.plan.theoreticalOptimum = 0;
-    for (const LevelAllocation &a : out.plan.allocations)
-        out.plan.theoreticalOptimum += a.continuous.cStar;
-    out.plan.estimatedSpan = out.plan.waves.empty()
-        ? 0.0
-        : out.plan.waves.back().start + out.plan.waves.back().duration;
+    // level). Wave durations come from the curves the allocator read,
+    // so the estimated span includes the predicted sync when priced.
+    auto schedule = [&](const std::vector<ScalingCurve> &level_curves,
+                        std::vector<LevelAllocation> level_allocs) {
+        WavefrontScheduler scheduler(graph, level_curves, n,
+                                     options_.scheduler);
+        out.plan.waves = scheduler.scheduleAll(level_allocs);
+        out.plan.numDevices = n;
+        out.plan.allocations = std::move(level_allocs);
+        out.plan.theoreticalOptimum = 0;
+        for (const LevelAllocation &a : out.plan.allocations)
+            out.plan.theoreticalOptimum += a.continuous.cStar;
+        out.plan.estimatedSpan = out.plan.waves.empty()
+            ? 0.0
+            : out.plan.waves.back().start + out.plan.waves.back().duration;
+    };
+    schedule(curves, std::move(allocations));
     const auto t_scheduled = clock_type::now();
     out.phaseSeconds.scheduling = seconds(t_allocated, t_scheduled);
 
@@ -467,6 +510,9 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
         std::size_t donor_levels = 0;
         const PlanCache::PlanPtr donor =
             cache->bestPrefixDonor(ctx, sig, &donor_levels);
+        if (donor != nullptr && !sharing.empty())
+            donor_levels =
+                sharingPrefixLevels(*donor, graph, sharing, donor_levels);
         if (donor != nullptr && donor_levels > 0)
             resume_wave = replayDonorPrefix(*donor, donor_levels, out.plan);
         if (resume_wave > 0) {
@@ -479,8 +525,23 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
             cache->addStats({.reusedLevels = donor_levels});
         }
     }
-    out.placement = placement.place(graph, out.plan, resume_wave, prefix,
-                                    cache ? &commit_log : nullptr);
+    std::optional<PlacementResult> placed = placement.placeIfFits(
+        graph, out.plan, resume_wave, prefix, cache ? &commit_log : nullptr);
+    if (!placed && options_.syncAwareAllocation) {
+        // Priced entries are narrower, so they concentrate parameter
+        // memory on fewer devices. When even memory-first placement
+        // cannot fit them, plan the sync-blind allocation, which
+        // spreads it. It is placed without a commit log: its commits
+        // would not replay onto a priced plan, so it donates no
+        // prefix.
+        ResourceAllocator blind(graph, out.curves, n, options_.allocator);
+        schedule(out.curves, blind.allocateAll(pool_.get()));
+        placed = placement.placeIfFits(graph, out.plan);
+        out.syncBlindFallback = true;
+    }
+    fatalIf(!placed, "DevicePlacement: workload does not fit device "
+                     "memory even with memory-first placement");
+    out.placement = std::move(*placed);
     const auto t_placed = clock_type::now();
     out.phaseSeconds.placement = seconds(t_scheduled, t_placed);
 
@@ -498,6 +559,8 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
         entry.plan = out.plan;
         entry.curves = out.curves;
         entry.placement = out.placement;
+        entry.syncBlindFallback = out.syncBlindFallback;
+        entry.sharing = std::move(sharing);
         entry.levelIds.resize(graph.numLevels());
         for (std::size_t k = 0; k < graph.numLevels(); ++k)
             entry.levelIds[k] = graph.level(k);

@@ -4,7 +4,10 @@
  * contraction feeds the scalability estimator (§3.2), the resource
  * allocator (§3.3), the wavefront scheduler (§3.4) and device
  * placement (§3.5), producing the execution plan the runtime engine
- * consumes.
+ * consumes. By default §3.3 and §3.4 read each MetaOp's scaling curve
+ * with its unoverlappable gradient-sync tail priced in
+ * (PlannerOptions::syncAwareAllocation), so estimatedSpan includes the
+ * predicted sync and theoreticalOptimum is over the priced grid.
  *
  * The four stages run as one pipeline with an optional PlanCache as
  * its memo, behind two entry points:
@@ -48,6 +51,19 @@ struct PlannerOptions
 
     /** Memory accounting regime used by placement (ZeRO flags). */
     MemoryParams memory;
+
+    /**
+     * Price each MetaOp's unoverlappable gradient-sync tail into the
+     * curves §3.3 bisects and §3.4 schedules (syncPricedCurve): no
+     * entry widens past the width where sync outweighs the compute
+     * it saves, so a large cluster may leave devices idle, and
+     * estimatedSpan / theoreticalOptimum include the predicted sync.
+     * Off: the paper's compute-only pricing, whose plans grow sync
+     * without bound at scale (plans byte-identical to before the
+     * option existed). The curves in PlannerOutput stay compute-only
+     * either way.
+     */
+    bool syncAwareAllocation = true;
 
     /**
      * Planner worker threads: 1 (default) plans serially on the
@@ -151,6 +167,11 @@ struct PlannerOutput
     /** Cache reuse accounting of the replan() call that produced
      *  this output (all-zero when plan() produced it). */
     ReplanStats replan;
+
+    /** The sync-aware allocation did not fit device memory, so the
+     *  plan uses the sync-blind one (PlannerOptions::
+     *  syncAwareAllocation). */
+    bool syncBlindFallback = false;
 };
 
 /**

@@ -6,8 +6,36 @@
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/thread_pool.h"
+#include "hardware/collective.h"
 
 namespace spindle {
+
+ScalingCurve
+syncPricedCurve(const ScalingCurve &compute, const MetaOp &m,
+                std::uint32_t sharing, const ClusterTopology &topo)
+{
+    const double l = static_cast<double>(m.numOps());
+    const double bytes = l * m.paramBytesPerOp;
+    std::vector<std::uint32_t> ns;
+    std::vector<double> times;
+    std::size_t best = 0;
+    for (std::uint32_t n : compute.validNs()) {
+        const std::uint32_t width = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(topo.numDevices(),
+                                    std::uint64_t{n} * sharing));
+        const double sync =
+            kMinSyncFraction *
+            CollectiveModel::ringAllReduce(bytes, width,
+                                           topo.ringLinkAtWidth(width));
+        ns.push_back(n);
+        times.push_back(compute.timeAt(n) + sync / l);
+        if (times.back() < times[best])
+            best = times.size() - 1;
+    }
+    ns.resize(best + 1);
+    times.resize(best + 1);
+    return ScalingCurve(std::move(ns), std::move(times));
+}
 
 ResourceAllocator::ResourceAllocator(const MetaGraph &graph,
                                      const std::vector<ScalingCurve> &curves,

@@ -22,7 +22,27 @@
 
 namespace spindle {
 
+class ClusterTopology;
 class ThreadPool;
+
+/**
+ * The curve the allocator and the scheduler read for MetaOp @p m
+ * under sync-aware allocation (PlannerOptions::syncAwareAllocation):
+ * T_m(n) + s_m(n) / L_m on @p compute's valid grid, truncated at its
+ * argmin, where
+ *
+ *   s_m(n) = kMinSyncFraction x flat-ring all-reduce of
+ *            L_m * paramBytesPerOp over w = min(N, n * sharing)
+ *            devices on topo.ringLinkAtWidth(w)
+ *
+ * is the gradient-sync tail no bucketing hides (@p sharing: the
+ * MetaOps holding m's ParamKeys, paramSharingWidths). Past the
+ * argmin, sync outweighs the compute a wider allocation saves, so
+ * the grid stops there and devices may stay idle.
+ */
+ScalingCurve syncPricedCurve(const ScalingCurve &compute, const MetaOp &m,
+                             std::uint32_t sharing,
+                             const ClusterTopology &topo);
 
 /** Allocator tunables. */
 struct AllocatorOptions
@@ -40,7 +60,8 @@ struct AllocatorOptions
  * The allocator never touches the hardware oracle directly: like the
  * paper's planner it sees only the scaling curves from §3.2, whose
  * valid-allocation grids already encode the practical constraints
- * (DP divides batch, TP degree divisibility).
+ * (DP divides batch, TP degree divisibility) — under sync-aware
+ * allocation, their syncPricedCurve() forms.
  */
 class ResourceAllocator
 {
@@ -79,7 +100,9 @@ class ResourceAllocator
 
     /**
      * Theoretical lower bound on the iteration's execution span:
-     * the sum of per-level continuous optima C~* (Fig. 11 baseline).
+     * the sum of per-level continuous optima C~* (Fig. 11 baseline),
+     * over whichever curves the allocator reads — the priced grid
+     * under sync-aware allocation.
      */
     double theoreticalOptimum() const;
 

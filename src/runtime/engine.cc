@@ -39,7 +39,8 @@ struct PlanExecution
                   const EngineOptions &options,
                   const DispatchPolicy &policy)
         : trans(sim, hw.collectives(), graph, plan),
-          pool(ParameterGroupPool::build(graph, plan, &hw.topology())),
+          pool(ParameterGroupPool::build(graph, plan, &hw.topology(),
+                                         options.collective)),
           dispatcher(sim, hw, graph, plan, options, trans, policy),
           syncer(sim, hw.collectives(), pool, options)
     {

@@ -132,9 +132,10 @@ struct EngineOptions
     double syncOverlapFraction = 0.5;
 
     /** Floor on the exposed sync cost as a fraction of the raw
-     *  collective time (the unoverlappable tail). Clamped to [0, 1]
-     *  with a warning when out of range. */
-    double minSyncFraction = 0.25;
+     *  collective time (the unoverlappable tail; the default is the
+     *  planner's sync price too). Clamped to [0, 1] with a warning
+     *  when out of range. */
+    double minSyncFraction = kMinSyncFraction;
 
     /** Admission-order policy of the event-driven dispatcher. */
     DispatchPolicyKind dispatch = DispatchPolicyKind::StrictBarrier;

@@ -6,10 +6,65 @@
 
 namespace spindle {
 
+namespace {
+
+void
+absorb(ParamGroup &host, const ParamGroup &g)
+{
+    host.bytes += g.bytes;
+    host.numParams += g.numParams;
+}
+
+/**
+ * Fuse overlapping, non-nested groups: two groups sharing a device
+ * run their all-reduces back to back, so when one all-reduce of both
+ * groups' bytes over their union is cheaper under @p kind, the pair
+ * becomes that one group (the extra ranks contribute zero gradient,
+ * as in subset fusion). A grown group meets every other group again,
+ * and folds any group it now contains, as subset fusion does.
+ */
+void
+fuseOverlapping(std::vector<ParamGroup> &groups, const CollectiveModel &coll,
+                CollectiveKind kind)
+{
+    auto cost = [&](const ParamGroup &g) {
+        return coll.allReduceTime(g.bytes, g.devices, kind);
+    };
+    std::vector<double> costs;
+    costs.reserve(groups.size());
+    for (const ParamGroup &g : groups)
+        costs.push_back(cost(g));
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+        for (std::size_t j = 0; j < groups.size(); ++j) {
+            ParamGroup &a = groups[i];
+            const ParamGroup &b = groups[j];
+            if (j == i || !intersects(a.devices, b.devices))
+                continue;
+            DeviceSet u = unionOf(a.devices, b.devices);
+            const bool nested = u.size() == a.devices.size() ||
+                                u.size() == b.devices.size();
+            if (!nested &&
+                !(coll.allReduceTime(a.bytes + b.bytes, u, kind) <
+                  costs[i] + costs[j]))
+                continue;
+            a.devices = std::move(u);
+            absorb(a, b);
+            costs[i] = cost(a);
+            groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(j));
+            costs.erase(costs.begin() + static_cast<std::ptrdiff_t>(j));
+            if (j < i)
+                --i;
+            j = static_cast<std::size_t>(-1); // rescan from the start
+        }
+    }
+}
+
+} // namespace
+
 ParameterGroupPool
 ParameterGroupPool::build(const MetaGraph &graph,
                           const ExecutionPlan &plan,
-                          const ClusterTopology *topo)
+                          const ClusterTopology *topo, CollectiveKind kind)
 {
     // Parameter identity: shared keys map to themselves, private
     // operator parameters get a unique negative id.
@@ -72,8 +127,7 @@ ParameterGroupPool::build(const MetaGraph &graph,
         for (ParamGroup &host : fused) {
             if (std::includes(host.devices.begin(), host.devices.end(),
                               g.devices.begin(), g.devices.end())) {
-                host.bytes += g.bytes;
-                host.numParams += g.numParams;
+                absorb(host, g);
                 folded = true;
                 break;
             }
@@ -83,6 +137,7 @@ ParameterGroupPool::build(const MetaGraph &graph,
     }
 
     if (topo != nullptr) {
+        fuseOverlapping(fused, CollectiveModel(*topo), kind);
         for (ParamGroup &g : fused) {
             g.decomp = decomposeByIsland(*topo, g.devices);
             g.has_decomp = true;

@@ -8,6 +8,10 @@
  * each W_j must be gradient-synchronized, then manages parameters
  * with identical groups collectively: the pool maps each distinct
  * device group to the total parameter bytes synchronized within it.
+ * Groups run back to back on the devices they share, so nested
+ * groups fold into the larger one and, priced by the engine's
+ * collective, overlapping groups fuse over their union where that is
+ * cheaper.
  */
 
 #ifndef SPINDLE_RUNTIME_PARAM_GROUPS_H
@@ -58,13 +62,22 @@ class ParameterGroupPool
     /**
      * Scan a placed plan: for every parameter set (shared ParamKey
      * or per-operator private parameters), the group is the union of
-     * the devices of every wave entry hosting it. When @p topo is
-     * given, each fused group's island decomposition is computed
-     * once and cached on the group.
+     * the devices of every wave entry hosting it. Groups with equal
+     * device sets are managed together, and a group nested in
+     * another is folded into it.
+     *
+     * When @p topo is given, two overlapping, non-nested groups are
+     * also fused into one group over their union whenever @p kind
+     * (the engine's collective) prices one all-reduce of both
+     * groups' bytes over the union below the two run back to back,
+     * as they must be on their shared devices. Fusion keeps
+     * totalSyncBytes() and the parameter count. Each final group's
+     * island decomposition is computed once and cached on it.
      */
-    static ParameterGroupPool build(const MetaGraph &graph,
-                                    const ExecutionPlan &plan,
-                                    const ClusterTopology *topo = nullptr);
+    static ParameterGroupPool
+    build(const MetaGraph &graph, const ExecutionPlan &plan,
+          const ClusterTopology *topo = nullptr,
+          CollectiveKind kind = CollectiveKind::FlatRing);
 
     const std::vector<ParamGroup> &groups() const { return groups_; }
 

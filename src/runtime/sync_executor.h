@@ -19,15 +19,21 @@
  * intra-island all-gathers overlap again — so non-leader devices
  * are free for other work during the inter-island phase.
  *
+ * The groups are the ParameterGroupPool's: nested groups folded, and
+ * overlapping groups fused where one all-reduce over their union is
+ * cheaper than the two back to back under the same collective.
+ *
  * Exposed-cost accounting: the bucketed all-reduce model hides
  * syncOverlapFraction of the backward span, down to the
- * unoverlappable minSyncFraction tail. Under the strict barrier the
- * historical formula is kept bit for bit. Under the overlap policy
- * the event schedule itself already hid part of the slowest group's
- * collective (groups start at their own devices' free time), so the
- * bucketed credit is charged only against what the schedule did NOT
- * hide, and the unoverlappable floor is a fraction of the slowest
- * group's whole all-reduce — not of the residual tail.
+ * unoverlappable minSyncFraction tail (by default kMinSyncFraction,
+ * the share the planner prices under sync-aware allocation). Under
+ * the strict barrier the historical formula is kept bit for bit.
+ * Under the overlap policy the event schedule itself already hid
+ * part of the slowest group's collective (groups start at their own
+ * devices' free time), so the bucketed credit is charged only
+ * against what the schedule did NOT hide, and the unoverlappable
+ * floor is a fraction of the slowest group's whole all-reduce — not
+ * of the residual tail.
  */
 
 #ifndef SPINDLE_RUNTIME_SYNC_EXECUTOR_H

@@ -198,6 +198,9 @@ TEST(Placement, PartialFallbackRestartMatchesFullOnSeedLadder)
     // On the seed fallback scenario the first infeasible wave is
     // wave 0, so the partial restart degenerates to the historical
     // full restart; the two must produce byte-identical placements.
+    // The scenario is the sync-blind plan: sync-aware allocation
+    // shapes CLIP-4's waves so the ladder first fails later (the
+    // later-wave restart is PartialFallbackRestartFromLaterWave's).
     ComputationGraph g = buildMultitaskClip({.numTasks = 4});
     MetaGraph meta = contractGraph(g);
 
@@ -206,8 +209,9 @@ TEST(Placement, PartialFallbackRestartMatchesFullOnSeedLadder)
     cfg.gpusPerNode = 8;
     ClusterTopology roomy(cfg);
     HardwareModel hw_roomy(roomy);
-    PlannerOutput baseline =
-        planWith(meta, hw_roomy, PlacementStrategy::Spindle);
+    PlannerOptions sync_blind;
+    sync_blind.syncAwareAllocation = false;
+    PlannerOutput baseline = ExecutionPlanner(hw_roomy, sync_blind).plan(meta);
     double peak = 0;
     for (double b : baseline.placement.peakBytes)
         peak = std::max(peak, b);
@@ -219,7 +223,7 @@ TEST(Placement, PartialFallbackRestartMatchesFullOnSeedLadder)
         ClusterTopology tight(cfg);
         HardwareModel hw(tight);
 
-        PlannerOptions partial_opt, full_opt;
+        PlannerOptions partial_opt = sync_blind, full_opt = sync_blind;
         partial_opt.placement.partialFallbackRestart = true;
         full_opt.placement.partialFallbackRestart = false;
         MetaGraph fresh_a = contractGraph(g);

@@ -30,6 +30,7 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "baselines/spindle_system.h"
@@ -493,10 +494,22 @@ plan(const HardwareModel &hw, const PlannerOptions &options,
     ScalabilityEstimator estimator(hw, options.estimator);
     out.curves = estimator.estimateAll(graph, n);
 
-    ResourceAllocator allocator(graph, out.curves, n, options.allocator);
+    // Sync-aware allocation swaps the curves §3.3 and §3.4 read; the
+    // frozen scheduler and placement below are the same either way.
+    std::vector<ScalingCurve> priced;
+    if (options.syncAwareAllocation) {
+        const std::vector<std::uint32_t> sharing = paramSharingWidths(graph);
+        for (const MetaOp &m : graph.metaOps())
+            priced.push_back(syncPricedCurve(out.curves[m.id], m,
+                                             sharing[m.id], hw.topology()));
+    }
+    const std::vector<ScalingCurve> &curves =
+        options.syncAwareAllocation ? priced : out.curves;
+
+    ResourceAllocator allocator(graph, curves, n, options.allocator);
     std::vector<LevelAllocation> allocations = allocator.allocateAll();
 
-    out.plan.waves = scheduleAll(graph, out.curves, n, options.scheduler,
+    out.plan.waves = scheduleAll(graph, curves, n, options.scheduler,
                                  allocations);
     out.plan.numDevices = n;
     out.plan.allocations = std::move(allocations);
@@ -607,21 +620,28 @@ expectEquivalentOn(const ComputationGraph &graph, ClusterConfig cluster,
     HardwareModel hw(topo);
     MetaGraph meta = contractGraph(graph);
 
-    PlannerOutput ref = reference::plan(hw, options, meta);
+    // Both allocation pricings: sync-blind (the paper's), and the
+    // sync-aware default.
+    for (bool sync_aware : {false, true}) {
+        SCOPED_TRACE(strCat("syncAwareAllocation=", sync_aware));
+        PlannerOptions priced = options;
+        priced.syncAwareAllocation = sync_aware;
+        PlannerOutput ref = reference::plan(hw, priced, meta);
 
-    // The optimized pipeline must reproduce the frozen reference bit
-    // for bit at every thread count: 1 is the serial fast path; 2
-    // and 8 exercise the parallel estimation / allocation / sweep
-    // and their deterministic merges.
-    for (std::uint32_t threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE(strCat("threads=", threads));
-        PlannerOptions threaded = options;
-        threaded.threads = threads;
-        ExecutionPlanner planner(hw, threaded);
-        PlannerOutput opt = planner.plan(meta);
+        // The optimized pipeline must reproduce the frozen reference
+        // bit for bit at every thread count: 1 is the serial fast
+        // path; 2 and 8 exercise the parallel estimation / allocation
+        // / sweep and their deterministic merges.
+        for (std::uint32_t threads : {1u, 2u, 8u}) {
+            SCOPED_TRACE(strCat("threads=", threads));
+            PlannerOptions threaded = priced;
+            threaded.threads = threads;
+            ExecutionPlanner planner(hw, threaded);
+            PlannerOutput opt = planner.plan(meta);
 
-        expectPlansIdentical(ref.plan, opt.plan);
-        expectPlacementsIdentical(ref.placement, opt.placement);
+            expectPlansIdentical(ref.plan, opt.plan);
+            expectPlacementsIdentical(ref.placement, opt.placement);
+        }
     }
 }
 
@@ -892,7 +912,10 @@ TEST(PlannerEquivalence, PairingAwarePricingNeverRaisesInterIslandComm)
     // attributed inter-island comm of the chosen plan — on every
     // seed workload x island topology pair. Both runs are scored by
     // the same attribution oracle, so the comparison is apples to
-    // apples; only the placement decisions differ.
+    // apples; only the placement decisions differ. The claim holds on
+    // the sync-blind plans it was made on; on the sync-aware plans
+    // pairing-aware pricing raises it for OFASys-4T/hetero{6,10} and
+    // OFASys-7T/striped4x8, so it is not dominant there.
     struct Case
     {
         const char *name;
@@ -923,6 +946,7 @@ TEST(PlannerEquivalence, PairingAwarePricingNeverRaisesInterIslandComm)
         MetaGraph meta_paired = contractGraph(c.graph);
 
         PlannerOptions legacy_opt;
+        legacy_opt.syncAwareAllocation = false;
         legacy_opt.placement.windows = WindowPolicy::IslandAware;
         PlannerOptions paired_opt = legacy_opt;
         paired_opt.placement.pairingAwareFlowPricing = true;
@@ -1155,54 +1179,62 @@ expectReplanMatchesPlan(const ComputationGraph &graph,
     HardwareModel hw(topo);
     MetaGraph meta = contractGraph(graph);
 
-    // Per thread count: cold, partial-prefix and warm replan stats.
-    std::vector<std::array<ReplanStats, 3>> stats;
-    for (std::uint32_t threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE(strCat("threads=", threads));
-        PlanCache cache;
-        PlannerOptions threaded = options;
-        threaded.threads = threads;
-        threaded.cache = &cache;
-        ExecutionPlanner planner(hw, threaded);
+    // Both allocation pricings: sync-blind, and the sync-aware
+    // default (whose level memo also keys on ParamKey sharing).
+    for (bool sync_aware : {false, true}) {
+        SCOPED_TRACE(strCat("syncAwareAllocation=", sync_aware));
+        options.syncAwareAllocation = sync_aware;
 
-        PlannerOutput ref = planner.plan(meta);
-        expectCacheUntouched(cache);
+        // Per thread count: cold, partial-prefix and warm replan stats.
+        std::vector<std::array<ReplanStats, 3>> stats;
+        for (std::uint32_t threads : {1u, 2u, 8u}) {
+            SCOPED_TRACE(strCat("threads=", threads));
+            PlanCache cache;
+            PlannerOptions threaded = options;
+            threaded.threads = threads;
+            threaded.cache = &cache;
+            ExecutionPlanner planner(hw, threaded);
 
-        PlannerOutput cold = planner.replan(meta);
-        EXPECT_TRUE(cold.replan.attempted);
-        EXPECT_FALSE(cold.replan.fullHit);
-        expectPlansIdentical(ref.plan, cold.plan);
-        expectPlacementsIdentical(ref.placement, cold.placement);
+            PlannerOutput ref = planner.plan(meta);
+            expectCacheUntouched(cache);
 
-        PlannerOutput warm = planner.replan(meta);
-        EXPECT_TRUE(warm.replan.attempted);
-        EXPECT_TRUE(warm.replan.fullHit);
-        EXPECT_EQ(warm.replan.reusedLevels, warm.replan.totalLevels);
-        expectPlansIdentical(ref.plan, warm.plan);
-        expectPlacementsIdentical(ref.placement, warm.placement);
+            PlannerOutput cold = planner.replan(meta);
+            EXPECT_TRUE(cold.replan.attempted);
+            EXPECT_FALSE(cold.replan.fullHit);
+            expectPlansIdentical(ref.plan, cold.plan);
+            expectPlacementsIdentical(ref.placement, cold.placement);
 
-        ReplanStats prefix;
-        if (donor != nullptr) {
-            PlanCache seeded_cache;
-            threaded.cache = &seeded_cache;
-            ExecutionPlanner seeded(hw, threaded);
-            MetaGraph donor_meta = contractGraph(*donor);
-            EXPECT_FALSE(seeded.replan(donor_meta).replan.fullHit);
-            PlannerOutput inc = seeded.replan(meta);
-            EXPECT_FALSE(inc.replan.fullHit);
-            EXPECT_GT(inc.replan.reusedLevels, 0u);
-            EXPECT_GT(inc.replan.prefixWaves, 0u);
-            expectPlansIdentical(ref.plan, inc.plan);
-            expectPlacementsIdentical(ref.placement, inc.placement);
-            prefix = inc.replan;
+            PlannerOutput warm = planner.replan(meta);
+            EXPECT_TRUE(warm.replan.attempted);
+            EXPECT_TRUE(warm.replan.fullHit);
+            EXPECT_EQ(warm.replan.reusedLevels, warm.replan.totalLevels);
+            expectPlansIdentical(ref.plan, warm.plan);
+            expectPlacementsIdentical(ref.placement, warm.placement);
+
+            ReplanStats prefix;
+            if (donor != nullptr) {
+                PlanCache seeded_cache;
+                threaded.cache = &seeded_cache;
+                ExecutionPlanner seeded(hw, threaded);
+                MetaGraph donor_meta = contractGraph(*donor);
+                EXPECT_FALSE(seeded.replan(donor_meta).replan.fullHit);
+                PlannerOutput inc = seeded.replan(meta);
+                EXPECT_FALSE(inc.replan.fullHit);
+                EXPECT_GT(inc.replan.reusedLevels, 0u);
+                EXPECT_GT(inc.replan.prefixWaves, 0u);
+                expectPlansIdentical(ref.plan, inc.plan);
+                expectPlacementsIdentical(ref.placement, inc.placement);
+                prefix = inc.replan;
+            }
+            stats.push_back({cold.replan, prefix, warm.replan});
         }
-        stats.push_back({cold.replan, prefix, warm.replan});
+        for (std::size_t t = 1; t < stats.size(); ++t)
+            for (std::size_t kind = 0; kind < 3; ++kind) {
+                SCOPED_TRACE(
+                    strCat("thread count #", t, ", replan #", kind));
+                expectSameReplanStats(stats[0][kind], stats[t][kind]);
+            }
     }
-    for (std::size_t t = 1; t < stats.size(); ++t)
-        for (std::size_t kind = 0; kind < 3; ++kind) {
-            SCOPED_TRACE(strCat("thread count #", t, ", replan #", kind));
-            expectSameReplanStats(stats[0][kind], stats[t][kind]);
-        }
 }
 
 void
@@ -1347,6 +1379,149 @@ TEST(PlannerEquivalence, ReplanPartialPrefixStatsMatchAcrossThreads)
     // depend on the thread count.
     ComputationGraph donor = chainWorkload(1024);
     expectReplanMatchesPlanOnNodes(chainWorkload(2048), 2, {}, &donor);
+}
+
+/** Two tasks with equal Text and Vision stacks whose Text stacks
+ *  share their parameters or not: equal MetaOp shapes, different
+ *  ParamKey sharing. */
+ComputationGraph
+twinTextWorkload(bool shared)
+{
+    WorkloadBuilder b;
+    std::optional<SharedModule> text;
+    if (shared)
+        text = b.declareShared(
+            transformerStack("text", OpType::Text, 64, 77, 1024, 6));
+    for (int k = 0; k < 2; ++k) {
+        const std::int32_t t = b.addTask(strCat("task", k));
+        const NodeRange x = b.addModule(
+            t,
+            transformerStack(strCat("t", k, ".text"), OpType::Text, 64, 77,
+                             1024, 6),
+            text ? &*text : nullptr);
+        const NodeRange v = b.addModule(
+            t, transformerStack(strCat("t", k, ".vision"), OpType::Vision,
+                                64, 257, 1024, 4));
+        b.addFlow(x, v);
+    }
+    return b.build();
+}
+
+TEST(PlannerEquivalence, LevelMemoKeysOnParamSharing)
+{
+    // The sync-aware allocation of a level reads how many MetaOps
+    // share each MetaOp's ParamKeys. Two workloads with equal MetaOp
+    // shapes but different sharing must never serve each other's
+    // level allocation from one cache, in either order. On a slow
+    // inter-island collective class, the shared Text stacks' sync
+    // group (twice the entry width) leaves the island sooner.
+    ClusterConfig cfg;
+    cfg.numNodes = 4;
+    cfg.gpusPerNode = 8;
+    cfg.interIslandCollective.bandwidth = 10 * kGiga;
+    ClusterTopology topo(cfg);
+    HardwareModel hw(topo);
+    const ComputationGraph graphs[] = {twinTextWorkload(true),
+                                       twinTextWorkload(false)};
+    const MetaGraph metas[] = {contractGraph(graphs[0]),
+                               contractGraph(graphs[1])};
+    ASSERT_NE(paramSharingWidths(metas[0]), paramSharingWidths(metas[1]));
+
+    const PlannerOutput refs[] = {ExecutionPlanner(hw).plan(metas[0]),
+                                  ExecutionPlanner(hw).plan(metas[1])};
+    // Precondition: sharing changes an allocation, so a memo hit
+    // across the two would change bytes.
+    bool differ = false;
+    const auto &a0 = refs[0].plan.allocations, &a1 = refs[1].plan.allocations;
+    ASSERT_EQ(a0.size(), a1.size());
+    for (std::size_t k = 0; k < a0.size(); ++k)
+        for (std::size_t p = 0; p < a0[k].plans.size(); ++p)
+            differ = differ ||
+                     a0[k].plans[p].tuples.front().n !=
+                         a1[k].plans[p].tuples.front().n;
+    ASSERT_TRUE(differ);
+
+    for (std::size_t first : {0u, 1u}) {
+        SCOPED_TRACE(strCat("first=", first));
+        PlanCache cache;
+        PlannerOptions options;
+        options.cache = &cache;
+        ExecutionPlanner planner(hw, options);
+        planner.replan(metas[first]);
+        const PlannerOutput second = planner.replan(metas[1 - first]);
+        EXPECT_FALSE(second.replan.fullHit);
+        expectPlansIdentical(refs[1 - first].plan, second.plan);
+        expectPlacementsIdentical(refs[1 - first].placement,
+                                  second.placement);
+    }
+}
+
+/** Task 0 runs a Text stack then a Vision stack; task 1 an Audio
+ *  stack then a Text stack that shares task 0's parameters or not.
+ *  Level 0 has the same signature either way, but its Text MetaOp's
+ *  ParamKey sharing depends on level 1. */
+ComputationGraph
+laterSharerWorkload(bool shared)
+{
+    WorkloadBuilder b;
+    const ModuleSpec text_spec =
+        transformerStack("text", OpType::Text, 64, 77, 1024, 6);
+    const SharedModule text = b.declareShared(text_spec);
+    const std::int32_t t0 = b.addTask("text-vision");
+    const NodeRange x0 = b.addModule(t0, text_spec, &text);
+    b.addFlow(x0, b.addModule(t0, transformerStack("vision", OpType::Vision,
+                                                   64, 257, 1024, 4)));
+    const std::int32_t t1 = b.addTask("audio-text");
+    const NodeRange a1 = b.addModule(
+        t1, transformerStack("audio", OpType::Audio, 64, 229, 1024, 4));
+    b.addFlow(a1, b.addModule(t1, text_spec, shared ? &text : nullptr));
+    return b.build();
+}
+
+TEST(PlannerEquivalence, ReplanPrefixDonorMatchesParamSharing)
+{
+    // A donor whose level 0 matches by signature but whose level-0
+    // Text MetaOp shares its ParamKeys with a later level prices that
+    // level differently under sync-aware allocation, so its placement
+    // prefix must not be replayed; sync-blind replans reuse it.
+    ClusterConfig cfg;
+    cfg.numNodes = 4;
+    cfg.gpusPerNode = 8;
+    cfg.interIslandCollective.bandwidth = 10 * kGiga;
+    ClusterTopology topo(cfg);
+    HardwareModel hw(topo);
+    const ComputationGraph donor_graph = laterSharerWorkload(true);
+    const ComputationGraph graph = laterSharerWorkload(false);
+    const MetaGraph donor = contractGraph(donor_graph);
+    const MetaGraph meta = contractGraph(graph);
+    ASSERT_EQ(signatureOf(donor).commonPrefixLevels(signatureOf(meta)), 1u);
+
+    for (bool sync_aware : {false, true}) {
+        SCOPED_TRACE(strCat("syncAwareAllocation=", sync_aware));
+        PlannerOptions options;
+        options.syncAwareAllocation = sync_aware;
+        const PlannerOutput ref = ExecutionPlanner(hw, options).plan(meta);
+        if (sync_aware) {
+            // Precondition: the sharer moves level 0's allocation.
+            const PlannerOutput d = ExecutionPlanner(hw, options).plan(donor);
+            bool differ = false;
+            for (std::size_t p = 0; p < ref.plan.allocations[0].plans.size();
+                 ++p)
+                differ = differ ||
+                         ref.plan.allocations[0].plans[p].tuples.front().n !=
+                             d.plan.allocations[0].plans[p].tuples.front().n;
+            ASSERT_TRUE(differ);
+        }
+        PlanCache cache;
+        options.cache = &cache;
+        ExecutionPlanner planner(hw, options);
+        planner.replan(donor);
+        const PlannerOutput inc = planner.replan(meta);
+        EXPECT_FALSE(inc.replan.fullHit);
+        EXPECT_EQ(inc.replan.reusedLevels, sync_aware ? 0u : 1u);
+        expectPlansIdentical(ref.plan, inc.plan);
+        expectPlacementsIdentical(ref.placement, inc.placement);
+    }
 }
 
 TEST(PlannerEquivalence, ReplanArrivalOscillation)

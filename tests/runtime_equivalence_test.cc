@@ -74,7 +74,8 @@ frozenStrictFlatRun(const HardwareModel &hw, const MetaGraph &graph,
         by_dst[t.dstWave].push_back(&t);
         by_src[t.srcWave].push_back(&t);
     }
-    ParameterGroupPool pool = ParameterGroupPool::build(graph, plan);
+    ParameterGroupPool pool =
+        ParameterGroupPool::build(graph, plan, &hw.topology());
 
     std::map<std::int32_t, std::vector<const Wave *>> streams;
     for (const Wave &w : plan.waves)
@@ -237,7 +238,8 @@ expectOverlapSyncTailMatchesReference(const HardwareModel &hw,
     }
 
     // Replay the frozen flat-ring schedule over the ledger.
-    ParameterGroupPool pool = ParameterGroupPool::build(graph, plan);
+    ParameterGroupPool pool =
+        ParameterGroupPool::build(graph, plan, &hw.topology());
     const CollectiveModel &coll = hw.collectives();
     std::size_t next = 0;
     double sync_end = bwd_end;
@@ -485,9 +487,12 @@ TEST(RuntimeEquivalence, OverlapChargePinsClampedExposedSync)
     // all-reduce even when minSyncFraction clamping fired, pinning
     // the clamped exposed sync to minSyncFraction * residual tail
     // instead of minSyncFraction * the slowest whole all-reduce.
-    ComputationGraph graph = fig3Workload();
+    // CLIP-4 on 8 nodes keeps two parameter groups, so the slowest
+    // one is really released early (a single group spanning the
+    // cluster, as on fig3 at 2 nodes, hides nothing).
+    ComputationGraph graph = buildMultitaskClip({.numTasks = 4});
     MetaGraph meta = contractGraph(graph);
-    ClusterTopology topo = smallCluster(2);
+    ClusterTopology topo = smallCluster(8);
     HardwareModel hw(topo);
     PlannerOutput out = ExecutionPlanner(hw).plan(meta);
 
@@ -500,7 +505,8 @@ TEST(RuntimeEquivalence, OverlapChargePinsClampedExposedSync)
     IterationResult run = engine.run(meta, out.plan);
 
     // Reference quantities, derived independently of SyncExecutor.
-    ParameterGroupPool pool = ParameterGroupPool::build(meta, out.plan);
+    ParameterGroupPool pool =
+        ParameterGroupPool::build(meta, out.plan, &hw.topology());
     const CollectiveModel &coll = hw.collectives();
     double whole_max = 0;
     for (const ParamGroup &g : pool.groups())
