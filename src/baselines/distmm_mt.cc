@@ -49,7 +49,9 @@ DistMMMTSystem::buildPlan(const MetaGraph &graph) const
     PlacementOptions popt;
     popt.strategy = PlacementStrategy::Sequential;
     DevicePlacement placement(hw_.topology(), hw_, mem, popt);
-    placement.place(graph, plan);
+    fatalIf(!placement.place(graph, plan),
+            "DevicePlacement: workload does not fit device memory even "
+            "with memory-first placement");
     return plan;
 }
 

@@ -1,7 +1,6 @@
 #include "graph/meta_graph.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/logging.h"
 
@@ -55,6 +54,34 @@ MetaGraph::MetaGraph(const ComputationGraph *base, std::vector<MetaOp> nodes,
     levels_.assign(static_cast<std::size_t>(max_level + 1), {});
     for (const MetaOp &m : nodes_)
         levels_[m.level].push_back(m.id);
+
+    // Sharing widths. (key, holder) pairs, sorted: each key's holders
+    // form one run; a MetaOp counts the distinct holders over its
+    // keys' runs, stamping each with its own id so none counts twice.
+    std::vector<std::pair<ParamKey, MetaOpId>> held;
+    for (const MetaOp &m : nodes_)
+        for (OpId op : m.ops)
+            if (const ParamKey key = base_->op(op).paramKey; key != kNoParam)
+                held.emplace_back(key, m.id);
+    std::sort(held.begin(), held.end());
+    held.erase(std::unique(held.begin(), held.end()), held.end());
+    param_sharing_.assign(nodes_.size(), 1);
+    std::vector<MetaOpId> stamp(nodes_.size(), -1);
+    for (const MetaOp &m : nodes_) {
+        stamp[m.id] = m.id;
+        for (OpId op : m.ops) {
+            const ParamKey key = base_->op(op).paramKey;
+            if (key == kNoParam)
+                continue;
+            for (auto it = std::lower_bound(held.begin(), held.end(),
+                                            std::pair{key, MetaOpId{0}});
+                 it != held.end() && it->first == key; ++it)
+                if (stamp[it->second] != m.id) {
+                    stamp[it->second] = m.id;
+                    ++param_sharing_[m.id];
+                }
+        }
+    }
 }
 
 OperatorDesc
@@ -110,37 +137,6 @@ MetaGraph::level(std::size_t k) const
 {
     panicIf(k >= levels_.size(), "level: bad index ", k);
     return levels_[k];
-}
-
-std::vector<std::uint32_t>
-paramSharingWidths(const MetaGraph &graph)
-{
-    // Holders of each shared key, in MetaOp id order.
-    std::map<ParamKey, std::vector<MetaOpId>> holders;
-    for (const MetaOp &m : graph.metaOps())
-        for (OpId op : m.ops)
-            if (const ParamKey key = graph.base().op(op).paramKey;
-                key != kNoParam) {
-                std::vector<MetaOpId> &ids = holders[key];
-                if (ids.empty() || ids.back() != m.id)
-                    ids.push_back(m.id);
-            }
-
-    std::vector<std::uint32_t> out;
-    out.reserve(graph.numMetaOps());
-    std::vector<MetaOpId> sharers;
-    for (const MetaOp &m : graph.metaOps()) {
-        sharers.assign(1, m.id);
-        for (OpId op : m.ops)
-            if (const ParamKey key = graph.base().op(op).paramKey;
-                key != kNoParam)
-                sharers.insert(sharers.end(), holders[key].begin(),
-                               holders[key].end());
-        std::sort(sharers.begin(), sharers.end());
-        out.push_back(static_cast<std::uint32_t>(
-            std::unique(sharers.begin(), sharers.end()) - sharers.begin()));
-    }
-    return out;
 }
 
 } // namespace spindle

@@ -103,6 +103,17 @@ class MetaGraph
     /** MetaOp ids at level @p k (0-based, dependency depth order). */
     const std::vector<MetaOpId> &level(std::size_t k) const;
 
+    /**
+     * Per MetaOp, indexed by id: how many MetaOps hold at least one
+     * of its shared ParamKeys, itself included (1 without shared
+     * keys). A MetaOp on n devices syncs those gradients over up to
+     * n times this many devices.
+     */
+    const std::vector<std::uint32_t> &paramSharingWidths() const
+    {
+        return param_sharing_;
+    }
+
   private:
     const ComputationGraph *base_;
     std::vector<MetaOp> nodes_;
@@ -111,15 +122,8 @@ class MetaGraph
     std::vector<std::vector<MetaOpId>> pred_;
     std::vector<MetaOpId> op_to_meta_;
     std::vector<std::vector<MetaOpId>> levels_;
+    std::vector<std::uint32_t> param_sharing_;
 };
-
-/**
- * Per MetaOp, indexed by id: how many MetaOps hold at least one of
- * its shared ParamKeys, itself included (1 without shared keys). A
- * MetaOp on n devices syncs those gradients over up to n times this
- * many devices.
- */
-std::vector<std::uint32_t> paramSharingWidths(const MetaGraph &graph);
 
 } // namespace spindle
 

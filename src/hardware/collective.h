@@ -53,7 +53,7 @@ namespace spindle {
  * Share of a gradient all-reduce that bucketing cannot hide under
  * backward compute. The engine's default exposed-sync floor
  * (EngineOptions::minSyncFraction) and the planner's sync price
- * (PlannerOptions::syncAwareAllocation) read this one constant.
+ * (syncPricedCurve) read this one constant.
  */
 inline constexpr double kMinSyncFraction = 0.25;
 

@@ -92,14 +92,14 @@ struct ExecutionPlan
     std::vector<Wave> waves;
     std::uint32_t numDevices = 0;
 
-    /** Estimated span (sum of wave durations). Under sync-aware
-     *  allocation the durations price each entry's share of its
-     *  predicted gradient-sync tail, so the span includes it. */
+    /** Estimated span (sum of wave durations). The durations price
+     *  each entry's share of its predicted gradient-sync tail
+     *  (syncPricedCurve), so the span includes it. */
     double estimatedSpan = 0;
 
     /** Sum of per-level continuous optima C~* (Fig. 11 bound), over
-     *  the curves the allocator read: the sync-priced grid under
-     *  sync-aware allocation. */
+     *  the curves the allocator read: the sync-priced grid (the
+     *  compute-only one on PlannerOutput::syncBlindFallback). */
     double theoreticalOptimum = 0;
 
     /** Per-level allocator output (kept for analysis/tests). */

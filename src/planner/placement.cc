@@ -350,25 +350,44 @@ DevicePlacement::generator() const
     return builtinWindowGenerator(options_.windows);
 }
 
-PlacementResult
+std::optional<PlacementResult>
 DevicePlacement::place(const MetaGraph &graph, ExecutionPlan &plan,
                        std::size_t resume_wave,
                        const std::vector<PlacementCommit> &prefix,
                        std::vector<PlacementCommit> *commit_log) const
 {
-    std::optional<PlacementResult> result =
-        placeIfFits(graph, plan, resume_wave, prefix, commit_log);
-    fatalIf(!result,
-            "DevicePlacement: workload does not fit device memory even "
-            "with memory-first placement");
-    return std::move(*result);
+    if (!options_.pairingAwareFlowPricing)
+        return placeCascade(graph, plan, resume_wave, prefix, commit_log);
+
+    // Pairing-aware pricing: both flow oracles place from scratch,
+    // and the placement attributing less inter-island comm wins.
+    panicIf(resume_wave > 0,
+            "DevicePlacement::place: pairing-aware pricing resumed");
+    PlacementOptions legacy_options = options_;
+    legacy_options.pairingAwareFlowPricing = false;
+    ExecutionPlan legacy_plan = plan;
+    std::vector<PlacementCommit> legacy_log;
+    std::optional<PlacementResult> legacy =
+        DevicePlacement(topo_, hw_, mem_, legacy_options, pool_)
+            .place(graph, legacy_plan, 0, {},
+                   commit_log != nullptr ? &legacy_log : nullptr);
+    std::optional<PlacementResult> paired =
+        placeCascade(graph, plan, 0, {}, commit_log);
+    if (legacy && (!paired || legacy->interIslandCommSeconds <
+                                  paired->interIslandCommSeconds)) {
+        plan = std::move(legacy_plan);
+        if (commit_log != nullptr)
+            *commit_log = std::move(legacy_log);
+        return legacy;
+    }
+    return paired;
 }
 
 std::optional<PlacementResult>
-DevicePlacement::placeIfFits(const MetaGraph &graph, ExecutionPlan &plan,
-                             std::size_t resume_wave,
-                             const std::vector<PlacementCommit> &prefix,
-                             std::vector<PlacementCommit> *commit_log) const
+DevicePlacement::placeCascade(const MetaGraph &graph, ExecutionPlan &plan,
+                              std::size_t resume_wave,
+                              const std::vector<PlacementCommit> &prefix,
+                              std::vector<PlacementCommit> *commit_log) const
 {
     panicIf(resume_wave == 0 && !prefix.empty(),
             "DevicePlacement::place: prefix records without a resume wave");

@@ -155,10 +155,16 @@ struct PlacementOptions
      * instead of flowTime's best-pair bound. The paired oracle can
      * punish a window for merely touching a congested source island,
      * which the best-pair bound cannot, so IslandAware windows
-     * dominate even on homogeneous clusters. Default off: the legacy
-     * scoring stays byte-identical to the frozen equivalence
-     * reference. Plan-affecting (folded into the planner's options
-     * fingerprint).
+     * dominate even on homogeneous clusters. The greedy window choice
+     * is myopic, though: keeping one entry in its source island can
+     * push later entries across islands, so on some plans the paired
+     * pass attributes more inter-island comm than the legacy one.
+     * place() therefore runs both passes from scratch and keeps the
+     * one attributing less (the paired one on ties), which is also
+     * why the planner reuses no placement prefix under this flag.
+     * Default off: the legacy scoring stays byte-identical to the
+     * frozen equivalence reference. Plan-affecting (folded into the
+     * planner's options fingerprint).
      */
     bool pairingAwareFlowPricing = false;
 
@@ -235,8 +241,9 @@ class DevicePlacement
                     ThreadPool *pool = nullptr);
 
     /**
-     * Fill WaveEntry::devices for every wave of @p plan.
-     * fatal()s when even memory-first placement cannot fit.
+     * Fill WaveEntry::devices for every wave of @p plan. Returns
+     * nullopt when even memory-first placement cannot fit (the
+     * planner then tries another allocation; other callers fatal()).
      *
      * A from-scratch placement resumes at wave 0 with an empty
      * prefix. Otherwise waves before @p resume_wave must already
@@ -251,7 +258,10 @@ class DevicePlacement
      * The fallback cascade: a comm-first pass; on failure, a
      * memory-first pass from the first infeasible wave (when
      * PlacementOptions::partialFallbackRestart); then a full
-     * memory-first restart.
+     * memory-first restart. Under pairingAwareFlowPricing the cascade
+     * runs once per flow oracle, from scratch (@p resume_wave must be
+     * 0), and the placement attributing less inter-island comm is
+     * kept.
      *
      * When @p commit_log is non-null it receives the commit records
      * of the successful comm-first pass (prefix included),
@@ -259,23 +269,21 @@ class DevicePlacement
      * memory-first fallback was needed (a fallback log would mix
      * scoring regimes).
      */
-    PlacementResult
+    std::optional<PlacementResult>
     place(const MetaGraph &graph, ExecutionPlan &plan,
           std::size_t resume_wave = 0,
           const std::vector<PlacementCommit> &prefix = {},
           std::vector<PlacementCommit> *commit_log = nullptr) const;
 
-    /** place(), but nullopt instead of fatal() when even memory-first
-     *  placement cannot fit (the planner then tries another
-     *  allocation). */
-    std::optional<PlacementResult>
-    placeIfFits(const MetaGraph &graph, ExecutionPlan &plan,
-                std::size_t resume_wave = 0,
-                const std::vector<PlacementCommit> &prefix = {},
-                std::vector<PlacementCommit> *commit_log = nullptr) const;
-
   private:
     struct Attempt;
+
+    /** place()'s fallback cascade with the configured flow oracle. */
+    std::optional<PlacementResult>
+    placeCascade(const MetaGraph &graph, ExecutionPlan &plan,
+                 std::size_t resume_wave,
+                 const std::vector<PlacementCommit> &prefix,
+                 std::vector<PlacementCommit> *commit_log) const;
 
     /** Internal alias; see PlacementCommit. */
     using CommitRecord = PlacementCommit;

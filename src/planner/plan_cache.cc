@@ -54,6 +54,7 @@ hashSignature(const GraphSignature &sig)
             h = mix(h, m.paramBytesPerOp);
             h = mix(h, m.activationBytes);
             h = mix(h, static_cast<std::uint64_t>(m.numOps));
+            h = mix(h, static_cast<std::uint64_t>(m.sharing));
             for (const MetaOpSignature::MemberParam &p : m.memberParams) {
                 h = mix(h, static_cast<std::uint64_t>(p.key));
                 h = mix(h, p.bytes);
@@ -111,6 +112,7 @@ signatureOf(const MetaGraph &graph)
             s.paramBytesPerOp = m.paramBytesPerOp;
             s.activationBytes = m.activationBytes;
             s.numOps = m.numOps();
+            s.sharing = graph.paramSharingWidths()[id];
             s.memberParams.reserve(m.ops.size());
             for (OpId op_id : m.ops) {
                 const OperatorDesc &op = graph.base().op(op_id);

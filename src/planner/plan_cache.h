@@ -82,6 +82,15 @@ struct MetaOpSignature
     std::int64_t numOps = 0;
 
     /**
+     * MetaOps holding any of this MetaOp's shared ParamKeys, itself
+     * included (MetaGraph::paramSharingWidths): the allocator prices
+     * its sync
+     * over this many times its width. It counts sharers in *later*
+     * levels too, so a level prefix matches only where it agrees.
+     */
+    std::uint32_t sharing = 1;
+
+    /**
      * Per-member-operator (raw param dedup key, param bytes), in
      * member order. Placement's per-device memory state is keyed by
      * the RAW dedup key (shared sets by ParamKey, unshared operators
@@ -171,12 +180,6 @@ class PlanCache
         /** PlannerOutput::syncBlindFallback of the cached plan. */
         bool syncBlindFallback = false;
 
-        /** paramSharingWidths by donor MetaOp id when sync-aware
-         *  allocation priced the plan, else empty. Sharers in later
-         *  levels are not part of a level prefix, so a prefix donor
-         *  matches only as far as these do. */
-        std::vector<std::uint32_t> sharing;
-
         /** Donor MetaOp ids by (level, position) — the remap key. */
         std::vector<std::vector<MetaOpId>> levelIds;
 
@@ -201,14 +204,14 @@ class PlanCache
         bool operator==(const CurveKey &) const = default;
     };
 
-    /** Everything §3.3 reads of one MetaOp: its workload shape, its
-     *  operator count, and the ParamKey sharing width its sync is
-     *  priced at (0 when sync-aware allocation is off). */
+    /** Everything §3.3 reads of one MetaOp: its workload shape
+     *  (paramBytesPerOp included), its operator count, and the
+     *  ParamKey sharing width its sync is priced at. */
     struct LevelOpKey
     {
         CurveKey curve;
         std::int64_t numOps = 0;
-        std::uint32_t sharing = 0;
+        std::uint32_t sharing = 1;
         bool operator==(const LevelOpKey &) const = default;
     };
 

@@ -67,7 +67,6 @@ optionsFingerprint(const PlannerOptions &o)
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardOptimizer));
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardParams));
     h = mix(h, o.memory.activationFactor);
-    h = mix(h, static_cast<std::uint64_t>(o.syncAwareAllocation));
     return h;
 }
 
@@ -117,8 +116,6 @@ struct LevelMemo
     std::uint64_t ctx;
     const MetaGraph &graph;
     std::uint32_t n;
-    /** Sync pricing widths by MetaOp id; empty when not priced. */
-    const std::vector<std::uint32_t> &sharing;
 
     Key key(std::size_t level) const
     {
@@ -127,7 +124,7 @@ struct LevelMemo
         for (MetaOpId id : graph.level(level)) {
             const MetaOp &m = graph.metaOp(id);
             key.ops.push_back({curveKeyOf(m, n), m.numOps(),
-                               sharing.empty() ? 0 : sharing[id]});
+                               graph.paramSharingWidths()[id]});
         }
         return key;
     }
@@ -271,25 +268,6 @@ replayDonorPrefix(const PlanCache::CachedPlan &donor,
         }
     }
     return resume_wave;
-}
-
-/**
- * Leading levels, of the first @p levels, whose MetaOps have the
- * sharing widths of @p donor's position by position.
- */
-std::size_t
-sharingPrefixLevels(const PlanCache::CachedPlan &donor,
-                    const MetaGraph &graph,
-                    const std::vector<std::uint32_t> &sharing,
-                    std::size_t levels)
-{
-    for (std::size_t k = 0; k < levels; ++k) {
-        const std::vector<MetaOpId> &ids = graph.level(k);
-        for (std::size_t p = 0; p < ids.size(); ++p)
-            if (sharing[ids[p]] != donor.sharing[donor.levelIds[k][p]])
-                return k;
-    }
-    return levels;
 }
 
 } // namespace
@@ -436,24 +414,19 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
     const auto t_estimated = clock_type::now();
     out.phaseSeconds.estimation = seconds(t_diffed, t_estimated);
 
-    // Sync-aware pricing: §3.3 and §3.4 read each MetaOp's curve
-    // with its sync tail folded in; out.curves stay compute-only.
-    std::vector<std::uint32_t> sharing;
-    std::vector<ScalingCurve> priced;
-    if (options_.syncAwareAllocation) {
-        sharing = paramSharingWidths(graph);
-        priced.reserve(graph.numMetaOps());
-        for (const MetaOp &m : graph.metaOps())
-            priced.push_back(syncPricedCurve(out.curves[m.id], m,
-                                             sharing[m.id], hw_.topology()));
-    }
-    const std::vector<ScalingCurve> &curves =
-        options_.syncAwareAllocation ? priced : out.curves;
+    // §3.3 and §3.4 read each MetaOp's curve with its sync tail
+    // folded in; out.curves stay compute-only.
+    std::vector<ScalingCurve> curves;
+    curves.reserve(graph.numMetaOps());
+    for (const MetaOp &m : graph.metaOps())
+        curves.push_back(syncPricedCurve(out.curves[m.id], m,
+                                         graph.paramSharingWidths()[m.id],
+                                         hw_.topology()));
 
     // §3.3: per-MetaLevel MPSP allocation + bi-point discretization
     // (levels are data-independent — parallel when pooled).
     ResourceAllocator allocator(graph, curves, n, options_.allocator);
-    const LevelMemo level_memo{cache, ctx, graph, n, sharing};
+    const LevelMemo level_memo{cache, ctx, graph, n};
     std::vector<LevelAllocation> allocations =
         memoizedStage<LevelAllocation>(
             graph.numLevels(), pool_.get(), cache ? &level_memo : nullptr,
@@ -472,7 +445,7 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
     // §3.4: craft waves level by level, then merge. Never memoized:
     // it is cheap and globally coupled (wave merging reads every
     // level). Wave durations come from the curves the allocator read,
-    // so the estimated span includes the predicted sync when priced.
+    // so the estimated span includes the predicted sync.
     auto schedule = [&](const std::vector<ScalingCurve> &level_curves,
                         std::vector<LevelAllocation> level_allocs) {
         WavefrontScheduler scheduler(graph, level_curves, n,
@@ -497,8 +470,9 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
     // level prefix with this workload is replayed and only the waves
     // of perturbed levels are scored. Prefix reuse relies on the
     // Spindle strategy's state being wave-local; Sequential threads
-    // a device cursor through every wave, so it places from scratch
-    // (full hits above still apply).
+    // a device cursor through every wave, and pairing-aware pricing
+    // picks between two whole from-scratch passes, so both place from
+    // scratch (full hits above still apply).
     MemoryModel mem(options_.memory);
     DevicePlacement placement(hw_.topology(), hw_, mem,
                               options_.placement, pool_.get());
@@ -506,13 +480,11 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
     std::vector<PlacementCommit> prefix;
     std::vector<PlacementCommit> commit_log;
     if (cache != nullptr &&
-        options_.placement.strategy == PlacementStrategy::Spindle) {
+        options_.placement.strategy == PlacementStrategy::Spindle &&
+        !options_.placement.pairingAwareFlowPricing) {
         std::size_t donor_levels = 0;
         const PlanCache::PlanPtr donor =
             cache->bestPrefixDonor(ctx, sig, &donor_levels);
-        if (donor != nullptr && !sharing.empty())
-            donor_levels =
-                sharingPrefixLevels(*donor, graph, sharing, donor_levels);
         if (donor != nullptr && donor_levels > 0)
             resume_wave = replayDonorPrefix(*donor, donor_levels, out.plan);
         if (resume_wave > 0) {
@@ -522,26 +494,29 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
             out.replan.reusedLevels =
                 static_cast<std::uint32_t>(donor_levels);
             out.replan.prefixWaves = static_cast<std::uint32_t>(resume_wave);
-            cache->addStats({.reusedLevels = donor_levels});
         }
     }
-    std::optional<PlacementResult> placed = placement.placeIfFits(
+    std::optional<PlacementResult> placed = placement.place(
         graph, out.plan, resume_wave, prefix, cache ? &commit_log : nullptr);
-    if (!placed && options_.syncAwareAllocation) {
+    if (!placed) {
         // Priced entries are narrower, so they concentrate parameter
         // memory on fewer devices. When even memory-first placement
         // cannot fit them, plan the sync-blind allocation, which
-        // spreads it. It is placed without a commit log: its commits
-        // would not replay onto a priced plan, so it donates no
-        // prefix.
+        // spreads it. It is placed from scratch (no donor prefix, so
+        // no prefix reuse to report) and without a commit log: its
+        // commits would not replay onto a priced plan.
         ResourceAllocator blind(graph, out.curves, n, options_.allocator);
         schedule(out.curves, blind.allocateAll(pool_.get()));
-        placed = placement.placeIfFits(graph, out.plan);
+        placed = placement.place(graph, out.plan);
         out.syncBlindFallback = true;
+        out.replan.reusedLevels = 0;
+        out.replan.prefixWaves = 0;
     }
     fatalIf(!placed, "DevicePlacement: workload does not fit device "
                      "memory even with memory-first placement");
     out.placement = std::move(*placed);
+    if (cache != nullptr && out.replan.reusedLevels > 0)
+        cache->addStats({.reusedLevels = out.replan.reusedLevels});
     const auto t_placed = clock_type::now();
     out.phaseSeconds.placement = seconds(t_scheduled, t_placed);
 
@@ -560,7 +535,6 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
         entry.curves = out.curves;
         entry.placement = out.placement;
         entry.syncBlindFallback = out.syncBlindFallback;
-        entry.sharing = std::move(sharing);
         entry.levelIds.resize(graph.numLevels());
         for (std::size_t k = 0; k < graph.numLevels(); ++k)
             entry.levelIds[k] = graph.level(k);

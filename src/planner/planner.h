@@ -4,10 +4,14 @@
  * contraction feeds the scalability estimator (§3.2), the resource
  * allocator (§3.3), the wavefront scheduler (§3.4) and device
  * placement (§3.5), producing the execution plan the runtime engine
- * consumes. By default §3.3 and §3.4 read each MetaOp's scaling curve
- * with its unoverlappable gradient-sync tail priced in
- * (PlannerOptions::syncAwareAllocation), so estimatedSpan includes the
- * predicted sync and theoreticalOptimum is over the priced grid.
+ * consumes. §3.3 and §3.4 read each MetaOp's scaling curve with its
+ * unoverlappable gradient-sync tail priced in (syncPricedCurve), so
+ * no entry widens past the width where sync outweighs the compute it
+ * saves, estimatedSpan includes the predicted sync and
+ * theoreticalOptimum is over the priced grid; the curves in
+ * PlannerOutput stay compute-only. When the priced plan does not fit
+ * device memory even memory-first, the compute-only (sync-blind)
+ * allocation is planned instead (PlannerOutput::syncBlindFallback).
  *
  * The four stages run as one pipeline with an optional PlanCache as
  * its memo, behind two entry points:
@@ -51,19 +55,6 @@ struct PlannerOptions
 
     /** Memory accounting regime used by placement (ZeRO flags). */
     MemoryParams memory;
-
-    /**
-     * Price each MetaOp's unoverlappable gradient-sync tail into the
-     * curves §3.3 bisects and §3.4 schedules (syncPricedCurve): no
-     * entry widens past the width where sync outweighs the compute
-     * it saves, so a large cluster may leave devices idle, and
-     * estimatedSpan / theoreticalOptimum include the predicted sync.
-     * Off: the paper's compute-only pricing, whose plans grow sync
-     * without bound at scale (plans byte-identical to before the
-     * option existed). The curves in PlannerOutput stay compute-only
-     * either way.
-     */
-    bool syncAwareAllocation = true;
 
     /**
      * Planner worker threads: 1 (default) plans serially on the
@@ -168,9 +159,9 @@ struct PlannerOutput
      *  this output (all-zero when plan() produced it). */
     ReplanStats replan;
 
-    /** The sync-aware allocation did not fit device memory, so the
-     *  plan uses the sync-blind one (PlannerOptions::
-     *  syncAwareAllocation). */
+    /** The sync-priced allocation did not fit device memory even
+     *  memory-first, so the plan uses the compute-only (sync-blind)
+     *  one, placed from scratch. */
     bool syncBlindFallback = false;
 };
 

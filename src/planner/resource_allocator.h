@@ -26,19 +26,18 @@ class ClusterTopology;
 class ThreadPool;
 
 /**
- * The curve the allocator and the scheduler read for MetaOp @p m
- * under sync-aware allocation (PlannerOptions::syncAwareAllocation):
- * T_m(n) + s_m(n) / L_m on @p compute's valid grid, truncated at its
- * argmin, where
+ * The curve the planner's allocator and scheduler read for MetaOp
+ * @p m: T_m(n) + s_m(n) / L_m on @p compute's valid grid, truncated
+ * at its argmin, where
  *
  *   s_m(n) = kMinSyncFraction x flat-ring all-reduce of
  *            L_m * paramBytesPerOp over w = min(N, n * sharing)
  *            devices on topo.ringLinkAtWidth(w)
  *
  * is the gradient-sync tail no bucketing hides (@p sharing: the
- * MetaOps holding m's ParamKeys, paramSharingWidths). Past the
- * argmin, sync outweighs the compute a wider allocation saves, so
- * the grid stops there and devices may stay idle.
+ * MetaOps holding m's ParamKeys, MetaGraph::paramSharingWidths).
+ * Past the argmin, sync outweighs the compute a wider allocation
+ * saves, so the grid stops there and devices may stay idle.
  */
 ScalingCurve syncPricedCurve(const ScalingCurve &compute, const MetaOp &m,
                              std::uint32_t sharing,
@@ -60,8 +59,8 @@ struct AllocatorOptions
  * The allocator never touches the hardware oracle directly: like the
  * paper's planner it sees only the scaling curves from §3.2, whose
  * valid-allocation grids already encode the practical constraints
- * (DP divides batch, TP degree divisibility) — under sync-aware
- * allocation, their syncPricedCurve() forms.
+ * (DP divides batch, TP degree divisibility) — in the planner,
+ * their syncPricedCurve() forms.
  */
 class ResourceAllocator
 {
@@ -101,8 +100,8 @@ class ResourceAllocator
     /**
      * Theoretical lower bound on the iteration's execution span:
      * the sum of per-level continuous optima C~* (Fig. 11 baseline),
-     * over whichever curves the allocator reads — the priced grid
-     * under sync-aware allocation.
+     * over whichever curves the allocator reads — in the planner,
+     * the sync-priced grid.
      */
     double theoreticalOptimum() const;
 

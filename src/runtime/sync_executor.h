@@ -26,7 +26,7 @@
  * Exposed-cost accounting: the bucketed all-reduce model hides
  * syncOverlapFraction of the backward span, down to the
  * unoverlappable minSyncFraction tail (by default kMinSyncFraction,
- * the share the planner prices under sync-aware allocation). Under
+ * the share the planner prices into its allocation). Under
  * the strict barrier the historical formula is kept bit for bit.
  * Under the overlap policy the event schedule itself already hid
  * part of the slowest group's collective (groups start at their own

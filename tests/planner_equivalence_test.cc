@@ -494,17 +494,13 @@ plan(const HardwareModel &hw, const PlannerOptions &options,
     ScalabilityEstimator estimator(hw, options.estimator);
     out.curves = estimator.estimateAll(graph, n);
 
-    // Sync-aware allocation swaps the curves §3.3 and §3.4 read; the
-    // frozen scheduler and placement below are the same either way.
-    std::vector<ScalingCurve> priced;
-    if (options.syncAwareAllocation) {
-        const std::vector<std::uint32_t> sharing = paramSharingWidths(graph);
-        for (const MetaOp &m : graph.metaOps())
-            priced.push_back(syncPricedCurve(out.curves[m.id], m,
-                                             sharing[m.id], hw.topology()));
-    }
-    const std::vector<ScalingCurve> &curves =
-        options.syncAwareAllocation ? priced : out.curves;
+    // §3.3 and §3.4 read the sync-priced curves; the frozen
+    // scheduler and placement below take whatever curves they get.
+    std::vector<ScalingCurve> curves;
+    for (const MetaOp &m : graph.metaOps())
+        curves.push_back(syncPricedCurve(out.curves[m.id], m,
+                                         graph.paramSharingWidths()[m.id],
+                                         hw.topology()));
 
     ResourceAllocator allocator(graph, curves, n, options.allocator);
     std::vector<LevelAllocation> allocations = allocator.allocateAll();
@@ -620,28 +616,21 @@ expectEquivalentOn(const ComputationGraph &graph, ClusterConfig cluster,
     HardwareModel hw(topo);
     MetaGraph meta = contractGraph(graph);
 
-    // Both allocation pricings: sync-blind (the paper's), and the
-    // sync-aware default.
-    for (bool sync_aware : {false, true}) {
-        SCOPED_TRACE(strCat("syncAwareAllocation=", sync_aware));
-        PlannerOptions priced = options;
-        priced.syncAwareAllocation = sync_aware;
-        PlannerOutput ref = reference::plan(hw, priced, meta);
+    PlannerOutput ref = reference::plan(hw, options, meta);
 
-        // The optimized pipeline must reproduce the frozen reference
-        // bit for bit at every thread count: 1 is the serial fast
-        // path; 2 and 8 exercise the parallel estimation / allocation
-        // / sweep and their deterministic merges.
-        for (std::uint32_t threads : {1u, 2u, 8u}) {
-            SCOPED_TRACE(strCat("threads=", threads));
-            PlannerOptions threaded = priced;
-            threaded.threads = threads;
-            ExecutionPlanner planner(hw, threaded);
-            PlannerOutput opt = planner.plan(meta);
+    // The optimized pipeline must reproduce the frozen reference bit
+    // for bit at every thread count: 1 is the serial fast path; 2
+    // and 8 exercise the parallel estimation / allocation / sweep
+    // and their deterministic merges.
+    for (std::uint32_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(strCat("threads=", threads));
+        PlannerOptions threaded = options;
+        threaded.threads = threads;
+        ExecutionPlanner planner(hw, threaded);
+        PlannerOutput opt = planner.plan(meta);
 
-            expectPlansIdentical(ref.plan, opt.plan);
-            expectPlacementsIdentical(ref.placement, opt.placement);
-        }
+        expectPlansIdentical(ref.plan, opt.plan);
+        expectPlacementsIdentical(ref.placement, opt.placement);
     }
 }
 
@@ -912,10 +901,7 @@ TEST(PlannerEquivalence, PairingAwarePricingNeverRaisesInterIslandComm)
     // attributed inter-island comm of the chosen plan — on every
     // seed workload x island topology pair. Both runs are scored by
     // the same attribution oracle, so the comparison is apples to
-    // apples; only the placement decisions differ. The claim holds on
-    // the sync-blind plans it was made on; on the sync-aware plans
-    // pairing-aware pricing raises it for OFASys-4T/hetero{6,10} and
-    // OFASys-7T/striped4x8, so it is not dominant there.
+    // apples; only the placement decisions differ.
     struct Case
     {
         const char *name;
@@ -946,7 +932,6 @@ TEST(PlannerEquivalence, PairingAwarePricingNeverRaisesInterIslandComm)
         MetaGraph meta_paired = contractGraph(c.graph);
 
         PlannerOptions legacy_opt;
-        legacy_opt.syncAwareAllocation = false;
         legacy_opt.placement.windows = WindowPolicy::IslandAware;
         PlannerOptions paired_opt = legacy_opt;
         paired_opt.placement.pairingAwareFlowPricing = true;
@@ -1179,62 +1164,54 @@ expectReplanMatchesPlan(const ComputationGraph &graph,
     HardwareModel hw(topo);
     MetaGraph meta = contractGraph(graph);
 
-    // Both allocation pricings: sync-blind, and the sync-aware
-    // default (whose level memo also keys on ParamKey sharing).
-    for (bool sync_aware : {false, true}) {
-        SCOPED_TRACE(strCat("syncAwareAllocation=", sync_aware));
-        options.syncAwareAllocation = sync_aware;
+    // Per thread count: cold, partial-prefix and warm replan stats.
+    std::vector<std::array<ReplanStats, 3>> stats;
+    for (std::uint32_t threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(strCat("threads=", threads));
+        PlanCache cache;
+        PlannerOptions threaded = options;
+        threaded.threads = threads;
+        threaded.cache = &cache;
+        ExecutionPlanner planner(hw, threaded);
 
-        // Per thread count: cold, partial-prefix and warm replan stats.
-        std::vector<std::array<ReplanStats, 3>> stats;
-        for (std::uint32_t threads : {1u, 2u, 8u}) {
-            SCOPED_TRACE(strCat("threads=", threads));
-            PlanCache cache;
-            PlannerOptions threaded = options;
-            threaded.threads = threads;
-            threaded.cache = &cache;
-            ExecutionPlanner planner(hw, threaded);
+        PlannerOutput ref = planner.plan(meta);
+        expectCacheUntouched(cache);
 
-            PlannerOutput ref = planner.plan(meta);
-            expectCacheUntouched(cache);
+        PlannerOutput cold = planner.replan(meta);
+        EXPECT_TRUE(cold.replan.attempted);
+        EXPECT_FALSE(cold.replan.fullHit);
+        expectPlansIdentical(ref.plan, cold.plan);
+        expectPlacementsIdentical(ref.placement, cold.placement);
 
-            PlannerOutput cold = planner.replan(meta);
-            EXPECT_TRUE(cold.replan.attempted);
-            EXPECT_FALSE(cold.replan.fullHit);
-            expectPlansIdentical(ref.plan, cold.plan);
-            expectPlacementsIdentical(ref.placement, cold.placement);
+        PlannerOutput warm = planner.replan(meta);
+        EXPECT_TRUE(warm.replan.attempted);
+        EXPECT_TRUE(warm.replan.fullHit);
+        EXPECT_EQ(warm.replan.reusedLevels, warm.replan.totalLevels);
+        expectPlansIdentical(ref.plan, warm.plan);
+        expectPlacementsIdentical(ref.placement, warm.placement);
 
-            PlannerOutput warm = planner.replan(meta);
-            EXPECT_TRUE(warm.replan.attempted);
-            EXPECT_TRUE(warm.replan.fullHit);
-            EXPECT_EQ(warm.replan.reusedLevels, warm.replan.totalLevels);
-            expectPlansIdentical(ref.plan, warm.plan);
-            expectPlacementsIdentical(ref.placement, warm.placement);
-
-            ReplanStats prefix;
-            if (donor != nullptr) {
-                PlanCache seeded_cache;
-                threaded.cache = &seeded_cache;
-                ExecutionPlanner seeded(hw, threaded);
-                MetaGraph donor_meta = contractGraph(*donor);
-                EXPECT_FALSE(seeded.replan(donor_meta).replan.fullHit);
-                PlannerOutput inc = seeded.replan(meta);
-                EXPECT_FALSE(inc.replan.fullHit);
-                EXPECT_GT(inc.replan.reusedLevels, 0u);
-                EXPECT_GT(inc.replan.prefixWaves, 0u);
-                expectPlansIdentical(ref.plan, inc.plan);
-                expectPlacementsIdentical(ref.placement, inc.placement);
-                prefix = inc.replan;
-            }
-            stats.push_back({cold.replan, prefix, warm.replan});
+        ReplanStats prefix;
+        if (donor != nullptr) {
+            PlanCache seeded_cache;
+            threaded.cache = &seeded_cache;
+            ExecutionPlanner seeded(hw, threaded);
+            MetaGraph donor_meta = contractGraph(*donor);
+            EXPECT_FALSE(seeded.replan(donor_meta).replan.fullHit);
+            PlannerOutput inc = seeded.replan(meta);
+            EXPECT_FALSE(inc.replan.fullHit);
+            EXPECT_GT(inc.replan.reusedLevels, 0u);
+            EXPECT_GT(inc.replan.prefixWaves, 0u);
+            expectPlansIdentical(ref.plan, inc.plan);
+            expectPlacementsIdentical(ref.placement, inc.placement);
+            prefix = inc.replan;
         }
-        for (std::size_t t = 1; t < stats.size(); ++t)
-            for (std::size_t kind = 0; kind < 3; ++kind) {
-                SCOPED_TRACE(
-                    strCat("thread count #", t, ", replan #", kind));
-                expectSameReplanStats(stats[0][kind], stats[t][kind]);
-            }
+        stats.push_back({cold.replan, prefix, warm.replan});
     }
+    for (std::size_t t = 1; t < stats.size(); ++t)
+        for (std::size_t kind = 0; kind < 3; ++kind) {
+            SCOPED_TRACE(strCat("thread count #", t, ", replan #", kind));
+            expectSameReplanStats(stats[0][kind], stats[t][kind]);
+        }
 }
 
 void
@@ -1425,7 +1402,7 @@ TEST(PlannerEquivalence, LevelMemoKeysOnParamSharing)
                                        twinTextWorkload(false)};
     const MetaGraph metas[] = {contractGraph(graphs[0]),
                                contractGraph(graphs[1])};
-    ASSERT_NE(paramSharingWidths(metas[0]), paramSharingWidths(metas[1]));
+    ASSERT_NE(metas[0].paramSharingWidths(), metas[1].paramSharingWidths());
 
     const PlannerOutput refs[] = {ExecutionPlanner(hw).plan(metas[0]),
                                   ExecutionPlanner(hw).plan(metas[1])};
@@ -1457,11 +1434,12 @@ TEST(PlannerEquivalence, LevelMemoKeysOnParamSharing)
 }
 
 /** Task 0 runs a Text stack then a Vision stack; task 1 an Audio
- *  stack then a Text stack that shares task 0's parameters or not.
- *  Level 0 has the same signature either way, but its Text MetaOp's
- *  ParamKey sharing depends on level 1. */
+ *  stack then a Text stack of @p task1_text_layers layers that shares
+ *  task 0's parameters or not. Level 0 has the same shape and raw
+ *  parameter keys either way, but its Text MetaOp's ParamKey sharing
+ *  depends on level 1. */
 ComputationGraph
-laterSharerWorkload(bool shared)
+laterSharerWorkload(bool shared, std::int64_t task1_text_layers = 6)
 {
     WorkloadBuilder b;
     const ModuleSpec text_spec =
@@ -1474,51 +1452,61 @@ laterSharerWorkload(bool shared)
     const std::int32_t t1 = b.addTask("audio-text");
     const NodeRange a1 = b.addModule(
         t1, transformerStack("audio", OpType::Audio, 64, 229, 1024, 4));
-    b.addFlow(a1, b.addModule(t1, text_spec, shared ? &text : nullptr));
+    b.addFlow(a1, b.addModule(t1,
+                              shared ? text_spec
+                                     : transformerStack("text", OpType::Text,
+                                                        64, 77, 1024,
+                                                        task1_text_layers),
+                              shared ? &text : nullptr));
     return b.build();
 }
 
 TEST(PlannerEquivalence, ReplanPrefixDonorMatchesParamSharing)
 {
-    // A donor whose level 0 matches by signature but whose level-0
-    // Text MetaOp shares its ParamKeys with a later level prices that
-    // level differently under sync-aware allocation, so its placement
-    // prefix must not be replayed; sync-blind replans reuse it.
+    // The sharer donor's level-0 Text MetaOp shares its ParamKeys with
+    // level 1, so its sync is priced over twice the width and level 0
+    // allocates differently: its signature differs from level 0 on,
+    // and prefix reuse comes from the other donor, whose level 0
+    // really matches — whichever of the two was cached first.
     ClusterConfig cfg;
     cfg.numNodes = 4;
     cfg.gpusPerNode = 8;
     cfg.interIslandCollective.bandwidth = 10 * kGiga;
     ClusterTopology topo(cfg);
     HardwareModel hw(topo);
-    const ComputationGraph donor_graph = laterSharerWorkload(true);
+    const ComputationGraph sharer_graph = laterSharerWorkload(true);
+    const ComputationGraph other_graph = laterSharerWorkload(false, 8);
     const ComputationGraph graph = laterSharerWorkload(false);
-    const MetaGraph donor = contractGraph(donor_graph);
+    const MetaGraph sharer = contractGraph(sharer_graph);
+    const MetaGraph other = contractGraph(other_graph);
     const MetaGraph meta = contractGraph(graph);
-    ASSERT_EQ(signatureOf(donor).commonPrefixLevels(signatureOf(meta)), 1u);
+    ASSERT_EQ(signatureOf(sharer).commonPrefixLevels(signatureOf(meta)), 0u);
+    ASSERT_EQ(signatureOf(other).commonPrefixLevels(signatureOf(meta)), 1u);
 
-    for (bool sync_aware : {false, true}) {
-        SCOPED_TRACE(strCat("syncAwareAllocation=", sync_aware));
-        PlannerOptions options;
-        options.syncAwareAllocation = sync_aware;
-        const PlannerOutput ref = ExecutionPlanner(hw, options).plan(meta);
-        if (sync_aware) {
-            // Precondition: the sharer moves level 0's allocation.
-            const PlannerOutput d = ExecutionPlanner(hw, options).plan(donor);
-            bool differ = false;
-            for (std::size_t p = 0; p < ref.plan.allocations[0].plans.size();
-                 ++p)
-                differ = differ ||
-                         ref.plan.allocations[0].plans[p].tuples.front().n !=
-                             d.plan.allocations[0].plans[p].tuples.front().n;
-            ASSERT_TRUE(differ);
-        }
+    const PlannerOutput ref = ExecutionPlanner(hw).plan(meta);
+    {
+        // Precondition: the sharer moves level 0's allocation.
+        const PlannerOutput d = ExecutionPlanner(hw).plan(sharer);
+        bool differ = false;
+        for (std::size_t p = 0; p < ref.plan.allocations[0].plans.size();
+             ++p)
+            differ = differ ||
+                     ref.plan.allocations[0].plans[p].tuples.front().n !=
+                         d.plan.allocations[0].plans[p].tuples.front().n;
+        ASSERT_TRUE(differ);
+    }
+    for (bool sharer_first : {true, false}) {
+        SCOPED_TRACE(strCat("sharer_first=", sharer_first));
         PlanCache cache;
+        PlannerOptions options;
         options.cache = &cache;
         ExecutionPlanner planner(hw, options);
-        planner.replan(donor);
+        planner.replan(sharer_first ? sharer : other);
+        planner.replan(sharer_first ? other : sharer);
         const PlannerOutput inc = planner.replan(meta);
         EXPECT_FALSE(inc.replan.fullHit);
-        EXPECT_EQ(inc.replan.reusedLevels, sync_aware ? 0u : 1u);
+        EXPECT_EQ(inc.replan.reusedLevels, 1u);
+        EXPECT_GT(inc.replan.prefixWaves, 0u);
         expectPlansIdentical(ref.plan, inc.plan);
         expectPlacementsIdentical(ref.placement, inc.placement);
     }

@@ -480,19 +480,22 @@ TEST(RuntimeEquivalence, ShardedStrictlyLowersExposedSyncOnRails)
     EXPECT_EQ(improved, 2u);
 }
 
-TEST(RuntimeEquivalence, OverlapChargePinsClampedExposedSync)
+/**
+ * Regression (charge-order fix): under the overlap policy the
+ * bucketed-overlap credit used to be charged against the whole
+ * all-reduce even when minSyncFraction clamping fired, pinning the
+ * clamped exposed sync to minSyncFraction * residual tail instead of
+ * minSyncFraction * the slowest whole all-reduce. With
+ * @p releases_early, the plan's slowest group is released before the
+ * backward pass ends, which is where the fix changes the charge.
+ */
+void
+expectOverlapChargePinsClampedExposedSync(const ComputationGraph &graph,
+                                          std::uint32_t nodes,
+                                          bool releases_early)
 {
-    // Regression (charge-order fix): under the overlap policy the
-    // bucketed-overlap credit used to be charged against the whole
-    // all-reduce even when minSyncFraction clamping fired, pinning
-    // the clamped exposed sync to minSyncFraction * residual tail
-    // instead of minSyncFraction * the slowest whole all-reduce.
-    // CLIP-4 on 8 nodes keeps two parameter groups, so the slowest
-    // one is really released early (a single group spanning the
-    // cluster, as on fig3 at 2 nodes, hides nothing).
-    ComputationGraph graph = buildMultitaskClip({.numTasks = 4});
     MetaGraph meta = contractGraph(graph);
-    ClusterTopology topo = smallCluster(8);
+    ClusterTopology topo = smallCluster(nodes);
     HardwareModel hw(topo);
     PlannerOutput out = ExecutionPlanner(hw).plan(meta);
 
@@ -531,12 +534,36 @@ TEST(RuntimeEquivalence, OverlapChargePinsClampedExposedSync)
         std::min(sync_raw, options.minSyncFraction * whole_max);
     EXPECT_DOUBLE_EQ(run.breakdown.sync, pinned);
 
-    // The fix must matter here: early release hid part of the
-    // slowest collective, so the buggy floor (over the residual
-    // tail) would have undercharged.
-    ASSERT_LT(sync_raw, whole_max);
-    EXPECT_GT(run.breakdown.sync,
-              options.minSyncFraction * sync_raw);
+    if (releases_early) {
+        // The fix must matter here: early release hid part of the
+        // slowest collective, so the buggy floor (over the residual
+        // tail) would have undercharged.
+        ASSERT_LT(sync_raw, whole_max);
+        EXPECT_GT(run.breakdown.sync,
+                  options.minSyncFraction * sync_raw);
+    } else {
+        // One cluster-wide group cannot start before the backward
+        // pass ends: the residual tail is the whole all-reduce, up to
+        // the rounding of sync_end - bwd_end, so both floors agree.
+        ASSERT_EQ(pool.groups().size(), 1u);
+        EXPECT_NEAR(sync_raw, whole_max, 1e-12 * whole_max);
+    }
+}
+
+TEST(RuntimeEquivalence, OverlapChargePinsClampedExposedSync)
+{
+    // fig3 on 2 nodes syncs everything in one cluster-wide group;
+    // CLIP-4 on 8 nodes keeps two, the slowest released early.
+    {
+        SCOPED_TRACE("fig3 on 2 nodes");
+        expectOverlapChargePinsClampedExposedSync(fig3Workload(), 2,
+                                                  /*releases_early=*/false);
+    }
+    {
+        SCOPED_TRACE("CLIP-4 on 8 nodes");
+        expectOverlapChargePinsClampedExposedSync(
+            buildMultitaskClip({.numTasks = 4}), 8, /*releases_early=*/true);
+    }
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
- * Scale-out gates of sync-aware allocation
- * (PlannerOptions::syncAwareAllocation) over {CLIP-10, OFASys-7} x
- * {64, 256, 1024, 4096} GPUs on 8-GPU nodes with the nominal fabric:
+ * Scale-out gates of the planner's sync-aware allocation
+ * (syncPricedCurve) over {CLIP-10, OFASys-7} x {64, 256, 1024, 4096}
+ * GPUs on 8-GPU nodes with the nominal fabric:
  *
  *  - monotonicity: the simulated iteration at N GPUs is at most
  *    kMonotonicSlack x the best at any N' <= N;
@@ -11,12 +11,15 @@
  *    [kEstimateLow, kEstimateHigh];
  *  - the simulated iteration is at least theoreticalOptimum.
  *
- * With the option off the planner must emit the sync-blind plans of
- * before the option existed, pinned here by digest. The file also
- * holds the parameter-group fusion tests: fusion keeps the synced
- * bytes, fuses a pair only when the collective oracle prices the
- * fused all-reduce cheaper, and never exposes more sync than the
- * subset-only pool, for every collective and dispatch policy.
+ * The sync-blind (compute-only) allocation, which the planner falls
+ * back to when the priced plan does not fit memory, is pinned here by
+ * digest to the plans the planner emitted before sync pricing. The
+ * fallback itself is checked cold, replanned, served from the cache
+ * and next to a prefix donor. The file also holds the
+ * parameter-group fusion tests: fusion keeps the synced bytes, fuses
+ * a pair only when the collective oracle prices the fused all-reduce
+ * cheaper, and never exposes more sync than the subset-only pool,
+ * for every collective and dispatch policy.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +28,7 @@
 #include <bit>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "planner/planner.h"
 #include "runtime/sync_executor.h"
@@ -115,6 +119,36 @@ planDigest(const PlannerOutput &out)
     return d.value();
 }
 
+/**
+ * The sync-blind plan: the compute-only curves allocated, scheduled
+ * and placed from scratch by the planner's stages with default
+ * options, as the planner does when the priced plan does not fit.
+ */
+PlannerOutput
+syncBlindPlan(const HardwareModel &hw, const MetaGraph &meta)
+{
+    const std::uint32_t n = hw.topology().numDevices();
+    PlannerOutput out;
+    out.curves = ScalabilityEstimator(hw).estimateAll(meta, n);
+    std::vector<LevelAllocation> allocations =
+        ResourceAllocator(meta, out.curves, n).allocateAll();
+    out.plan.waves =
+        WavefrontScheduler(meta, out.curves, n).scheduleAll(allocations);
+    out.plan.numDevices = n;
+    out.plan.allocations = std::move(allocations);
+    for (const LevelAllocation &a : out.plan.allocations)
+        out.plan.theoreticalOptimum += a.continuous.cStar;
+    out.plan.estimatedSpan =
+        out.plan.waves.back().start + out.plan.waves.back().duration;
+    const MemoryModel mem;
+    std::optional<PlacementResult> placed =
+        DevicePlacement(hw.topology(), hw, mem).place(meta, out.plan);
+    EXPECT_TRUE(placed.has_value());
+    if (placed)
+        out.placement = std::move(*placed);
+    return out;
+}
+
 struct SweepPoint
 {
     double sim = 0;
@@ -158,16 +192,13 @@ TEST(ScaleOut, SyncAwareSweepMeetsGates)
 
 TEST(ScaleOut, SyncBlindPlansMatchRecordedBytes)
 {
-    // Digests of the sync-blind plans, recorded before
-    // syncAwareAllocation existed.
+    // Digests of the planner's plans recorded before it priced sync.
     const std::uint64_t recorded[2][4] = {
         {0x44edbabde88145c2ull, 0x4209a81f672e892aull,
          0xe34cf57db302837dull, 0x559981bde57a1399ull},
         {0x3a8d1bf62854121dull, 0x3d7691917614580dull,
          0x4a9f25a5ad77f56dull, 0x8d0578a3f95b593dull},
     };
-    PlannerOptions options;
-    options.syncAwareAllocation = false;
     for (std::size_t w = 0; w < 2; ++w) {
         const ComputationGraph graph = sweepWorkload(w);
         const MetaGraph meta = contractGraph(graph);
@@ -175,8 +206,7 @@ TEST(ScaleOut, SyncBlindPlansMatchRecordedBytes)
             SCOPED_TRACE(strCat(kSweepNames[w], " on ", kSweep[i], " GPUs"));
             ClusterTopology topo(nodesOf(kSweep[i]));
             HardwareModel hw(topo);
-            const PlannerOutput out =
-                ExecutionPlanner(hw, options).plan(meta);
+            const PlannerOutput out = syncBlindPlan(hw, meta);
             EXPECT_EQ(planDigest(out), recorded[w][i])
                 << std::hex << "0x" << planDigest(out);
         }
@@ -185,39 +215,74 @@ TEST(ScaleOut, SyncBlindPlansMatchRecordedBytes)
 
 TEST(ScaleOut, SyncBlindFallbackWhenPricedPlanDoesNotFit)
 {
-    // QWen-VAL on 512 GPUs with 80% of the priced plan's peak memory:
-    // the narrower priced entries fit not even memory-first, the
-    // sync-blind allocation does, and the planner emits exactly the
-    // sync-blind plan — cold, replanned, and served from the cache.
-    const ComputationGraph graph = buildQwenVal({});
-    const MetaGraph meta = contractGraph(graph);
-    ClusterConfig cfg = nodesOf(512);
-    double peak = 0;
+    // With a fraction of the priced plan's peak memory, the narrower
+    // priced entries fit not even memory-first, the sync-blind
+    // allocation does, and the planner emits exactly the sync-blind
+    // plan: cold, replanned, and served from the cache. QWen-VAL 30B
+    // is replanned after QWen-VAL 9B, which shares its first level and
+    // fits priced: that donor's prefix is not what the emitted plan
+    // was placed with, so no prefix reuse is reported.
+    struct Case
     {
-        ClusterTopology roomy(cfg);
-        HardwareModel hw(roomy);
-        for (double b : ExecutionPlanner(hw).plan(meta).placement.peakBytes)
-            peak = std::max(peak, b);
-    }
-    cfg.device.memoryBytes = 0.8 * peak / PlacementOptions{}.memorySlack;
-    ClusterTopology tight(cfg);
-    HardwareModel hw(tight);
+        const char *name;
+        QwenValConfig workload;
+        std::uint32_t gpus;
+        double memoryFraction;
+        std::optional<QwenValConfig> donor;
+    };
+    const Case cases[] = {
+        {"QWen-VAL 9B on 512 GPUs", {}, 512, 0.8, std::nullopt},
+        {"QWen-VAL 30B on 256 GPUs after 9B",
+         {.size = QwenValConfig::Size::B30}, 256, 0.75, QwenValConfig{}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const ComputationGraph graph = buildQwenVal(c.workload);
+        const MetaGraph meta = contractGraph(graph);
+        ClusterConfig cfg = nodesOf(c.gpus);
+        double peak = 0;
+        {
+            ClusterTopology roomy(cfg);
+            HardwareModel hw(roomy);
+            for (double b :
+                 ExecutionPlanner(hw).plan(meta).placement.peakBytes)
+                peak = std::max(peak, b);
+        }
+        cfg.device.memoryBytes =
+            c.memoryFraction * peak / PlacementOptions{}.memorySlack;
+        ClusterTopology tight(cfg);
+        HardwareModel hw(tight);
+        const PlannerOutput expected = syncBlindPlan(hw, meta);
 
-    PlannerOptions blind;
-    blind.syncAwareAllocation = false;
-    const PlannerOutput expected = ExecutionPlanner(hw, blind).plan(meta);
-    EXPECT_FALSE(expected.syncBlindFallback);
-
-    PlanCache cache;
-    PlannerOptions options;
-    options.cache = &cache;
-    const ExecutionPlanner planner(hw, options);
-    for (const PlannerOutput &out :
-         {planner.plan(meta), planner.replan(meta), planner.replan(meta)}) {
-        EXPECT_TRUE(out.syncBlindFallback);
-        EXPECT_EQ(planDigest(out), planDigest(expected));
+        PlanCache cache;
+        PlannerOptions options;
+        options.cache = &cache;
+        const ExecutionPlanner planner(hw, options);
+        if (c.donor) {
+            const ComputationGraph donor_graph = buildQwenVal(*c.donor);
+            const MetaGraph donor = contractGraph(donor_graph);
+            ASSERT_GT(
+                signatureOf(donor).commonPrefixLevels(signatureOf(meta)),
+                0u);
+            const PlannerOutput d = planner.replan(donor);
+            ASSERT_FALSE(d.syncBlindFallback);
+            ASSERT_FALSE(d.placement.usedMemoryFallback);
+        }
+        const PlannerOutput cold = planner.plan(meta);
+        const PlannerOutput miss = planner.replan(meta);
+        const PlannerOutput hit = planner.replan(meta);
+        for (const PlannerOutput *out : {&cold, &miss, &hit}) {
+            EXPECT_TRUE(out->syncBlindFallback);
+            EXPECT_EQ(planDigest(*out), planDigest(expected));
+        }
+        EXPECT_FALSE(miss.replan.fullHit);
+        EXPECT_EQ(miss.replan.reusedLevels, 0u);
+        EXPECT_EQ(miss.replan.prefixWaves, 0u);
+        EXPECT_TRUE(hit.replan.fullHit);
+        // Only the full hit reports reuse.
+        EXPECT_EQ(cache.stats().fullHits, 1u);
+        EXPECT_EQ(cache.stats().reusedLevels, meta.numLevels());
     }
-    EXPECT_EQ(cache.stats().fullHits, 1u);
 }
 
 // ===================================================================
@@ -377,13 +442,14 @@ TEST(ParamGroupFusion, NeverExposesMoreSyncOnSeedWorkloads)
         const MetaGraph meta = contractGraph(graph);
         ClusterTopology topo = testutil::smallCluster(nodes);
         HardwareModel hw(topo);
-        for (bool sync_aware : {false, true}) {
-            SCOPED_TRACE(strCat(nodes, " nodes, syncAwareAllocation=",
-                                sync_aware));
-            PlannerOptions options;
-            options.syncAwareAllocation = sync_aware;
-            expectFusionNeverHurts(
-                hw, meta, ExecutionPlanner(hw, options).plan(meta).plan);
+        {
+            SCOPED_TRACE(strCat(nodes, " nodes, sync-priced plan"));
+            expectFusionNeverHurts(hw, meta,
+                                   ExecutionPlanner(hw).plan(meta).plan);
+        }
+        {
+            SCOPED_TRACE(strCat(nodes, " nodes, sync-blind plan"));
+            expectFusionNeverHurts(hw, meta, syncBlindPlan(hw, meta).plan);
         }
     }
 }
