@@ -4,12 +4,12 @@
 #include <atomic>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-
 
 namespace spindle {
 
@@ -156,10 +156,43 @@ struct SweepTask
     std::size_t hi = 0;
 };
 
-} // namespace
+/** Per-lane scratch of the window sweep (the serial sweep keeps one
+ *  across entries; each parallel lane makes its own). */
+struct LaneScratch
+{
+    DeviceSet win;                    ///< exact-comm window
+    std::vector<std::size_t> dq;      ///< sliding-maximum deque
+    std::vector<std::size_t> row_ptr; ///< per-row residency pointers
+    std::vector<char> row_nonres;     ///< per-row non-resident flags
+};
+
+/** Whether link class @p c occurs in a window, given the difference
+ *  of two packed prefix counters (see BandState::inflowPref). */
+bool
+classPresent(std::uint64_t diff, int c)
+{
+    return ((diff >> (kClsFieldBits * static_cast<unsigned>(c))) &
+            kClsFieldMask) != 0;
+}
+
+/** Packed-counter increment of one position of link class @p c. */
+std::uint64_t
+classBit(unsigned c)
+{
+    return std::uint64_t{1} << (kClsFieldBits * c);
+}
+
+/** Pairing-aware price of a flow of best-pair time @p t: it pays its
+ *  cost again for the fraction of the @p n window members in islands
+ *  holding no source device (see pairedFlowTime). */
+double
+pairedSurcharge(double t, std::uint32_t miss, std::uint32_t n)
+{
+    return t * (1.0 + static_cast<double>(miss) / static_cast<double>(n));
+}
 
 /**
- * Mutable state of one placement attempt.
+ * Per-device parameter and activation state of one placement pass.
  *
  * Per-device totals are cached: the former deviceTotal() walked the
  * whole parameter map on every candidate window of every entry
@@ -170,7 +203,7 @@ struct SweepTask
  * candidate window. The parallel position pass touches distinct
  * devices on distinct lanes, so the lazy refresh stays race-free.
  */
-struct DevicePlacement::Attempt
+struct DeviceState
 {
     /**
      * Per-device stored parameter state, deduplicated by key. The
@@ -185,8 +218,9 @@ struct DevicePlacement::Attempt
      * by the candidate sweep with binary searches instead of map
      * lookups. The values are the exact doubles the map holds, so a
      * mirror probe feeds the scoring arithmetic the same bits a map
-     * probe would. Re-derived per committed device (a device's
-     * parameter set changes only when an entry commits to it).
+     * probe would. A device's parameter set changes only when an
+     * entry commits to it, scored or replayed, and every commit
+     * updates the mirror (mergeFlat), so it never lags the map.
      */
     std::vector<std::vector<std::pair<std::int64_t, double>>> flat;
 
@@ -210,65 +244,28 @@ struct DevicePlacement::Attempt
     std::vector<double> total_cache;
     std::vector<char> total_dirty;
 
-    /** Lazy-refresh bits for the flat mirror: commits just flag the
-     *  device, and the next probe re-derives. Probes from the
-     *  parallel position pass touch distinct devices on distinct
-     *  lanes (like the deviceTotal cache), so the lazy refresh
-     *  stays race-free. */
-    std::vector<char> flat_dirty;
-
     void
     init(std::uint32_t num_devices)
     {
         params.assign(num_devices, {});
         flat.assign(num_devices, {});
-        flat_dirty.assign(num_devices, 0);
         holders.clear();
         activations.assign(num_devices, 0.0);
         total_cache.assign(num_devices, 0.0);
         total_dirty.assign(num_devices, 1);
     }
 
-    void
-    markDirty(DeviceId d)
-    {
-        total_dirty[d] = 1;
-        flat_dirty[d] = 1;
-    }
-
-    /** Re-derive flat[d] from params[d]. Sorting by key makes the
-     *  mirror independent of the map's bucket order. */
-    void
-    refreshFlat(DeviceId d)
-    {
-        auto &fv = flat[d];
-        fv.clear();
-        fv.reserve(params[d].size());
-        for (const auto &kv : params[d])
-            fv.push_back(kv);
-        std::sort(fv.begin(), fv.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        flat_dirty[d] = 0;
-    }
-
     /**
      * Fold a committed slice into flat[d] incrementally: every key
      * of @p keys (sorted, deduplicated) takes its value from the
      * already-updated map — existing entries in place, new keys
-     * appended (ascending, since @p keys ascend) and merged. O(K)
-     * per device instead of refreshFlat's O(K log K) rebuild, which
-     * matters because commits are the only steady-state writer.
+     * appended (ascending, since @p keys ascend) and merged: O(K)
+     * per device, sorted by key whatever the map's bucket order.
      */
     void
     mergeFlat(DeviceId d, const std::vector<std::int64_t> &keys,
               const std::vector<double> &shares)
     {
-        if (flat_dirty[d]) {
-            refreshFlat(d); // map changed behind the mirror: rebuild
-            return;
-        }
         auto &fv = flat[d];
         const std::size_t old = fv.size();
         for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -279,7 +276,7 @@ struct DevicePlacement::Attempt
                     return a.first < k;
                 });
             // The committed value is the strict-max fold of the
-            // existing share (exact in the clean mirror) with the
+            // existing share (exact in the mirror) with the
             // slice's maximum share — no map lookup needed.
             if (it != begin + static_cast<std::ptrdiff_t>(old) &&
                 it->first == keys[i]) {
@@ -303,13 +300,10 @@ struct DevicePlacement::Attempt
             });
     }
 
-    /** Binary-search flat[d] for @p key; nullptr when absent.
-     *  Refreshes a stale mirror first (see flat_dirty). */
+    /** Binary-search flat[d] for @p key; nullptr when absent. */
     const double *
-    findFlat(DeviceId d, std::int64_t key)
+    findFlat(DeviceId d, std::int64_t key) const
     {
-        if (flat_dirty[d])
-            refreshFlat(d);
         const auto &fv = flat[d];
         const auto it = std::lower_bound(
             fv.begin(), fv.end(), key,
@@ -330,6 +324,1281 @@ struct DevicePlacement::Attempt
             total_dirty[d] = 0;
         }
         return total_cache[d];
+    }
+};
+
+} // namespace
+
+/**
+ * One placement pass: its fixed context, the device state, the
+ * current wave's free list and entry, and the stages tryPlace() runs
+ * per entry (see placement.h). Scratch buffers are reused across
+ * entries and only grow: the elements an entry reads are exactly the
+ * elements it wrote, so stale capacity never leaks into scores.
+ */
+struct DevicePlacement::Pass
+{
+    // ---- Pass-wide context.
+    const ClusterTopology &topo;
+    const HardwareModel &hw;
+    const MemoryModel &mem;
+    const PlacementOptions &options;
+    ThreadPool *const pool;
+    const MetaGraph &graph;
+    ExecutionPlan &plan;
+    PlacementResult &result;
+    std::vector<CommitRecord> *const log;
+    const CollectiveModel &coll;
+    const WindowGenerator &window_gen;
+    const std::uint32_t num_devices;
+    const bool memory_first;
+    const double capacity;
+    const bool use_pool;
+    /** Window flow oracle: the legacy best-pair bound, or the
+     *  pairing-aware per-destination-shard price behind the
+     *  PlacementOptions flag (see placement.h). Both the exact paths
+     *  and the class-level fast path dispatch on this. */
+    const bool paired;
+    const bool prune;
+
+    // The three *default* link classes a (src set, candidate device)
+    // pair can use. CollectiveModel::flowTime maximizes bandwidth
+    // over all (src, dst) pairs, so the sweep must (a) track, per
+    // candidate device, *every* class it has a pair in — a device
+    // sharing an island with one source device still has
+    // inter-island pairs to the others — and (b) probe classes in
+    // bandwidth order, not class-index order (a config may rank its
+    // fabrics differently from the defaults). Two classes configured
+    // to the exact same bandwidth but different latency are resolved
+    // by flowTime's lower-latency tiebreak, which class-level
+    // bandwidth bookkeeping cannot reproduce; such (pathological)
+    // configs — and any topology whose islands override the default
+    // classes (uniformLinks() false), where three classes cannot
+    // describe the fabric at all — drop to scoring every window with
+    // the flow oracle directly (exact_comm), keeping the
+    // bit-identical contract unconditional. The same class machinery
+    // serves the pairing-aware oracle: the window's best class still
+    // sets the base flow bound, and pairedFlowTime is that bound
+    // surcharged by the window's island-miss fraction, which the
+    // per-position island ids count exactly.
+    const LinkParams link_class[kNumLinkClasses];
+    int class_by_bw[kNumLinkClasses] = {0, 1, 2};
+    int rank_of_class[kNumLinkClasses] = {0, 1, 2};
+    bool exact_comm = false;
+
+    DeviceState state;
+    std::uint32_t seq_cursor = 0; ///< Sequential strategy cursor
+    DeviceSet free;               ///< current wave's free devices
+
+    // ---- Entry signature (signEntry, scoringContext).
+    ParallelConfig cfg;
+    std::uint32_t n = 0;
+    double act_share = 0;
+    std::vector<SliceParam> sig;         ///< slice param signature
+    std::vector<std::int64_t> uniq_keys; ///< distinct sig keys, sorted
+    std::vector<double> uniq_vals;       ///< per uniq key: max share
+    /** (key, max share) in first-occurrence sig order — the commit
+     *  loop's working set. Multi-task slices repeat shared keys many
+     *  times; committing each distinct key once with the strict-max
+     *  share leaves the map byte-identical (same distinct-insertion
+     *  sequence, so the same bucket layout deviceTotal() walks, and
+     *  strict-max folding is order-independent selection). */
+    std::vector<std::pair<std::int64_t, double>> commit_keys;
+    std::vector<char> key_seen; ///< per uniq key
+    /** Inter-wave data sources, in the edge order the score
+     *  accumulates them. */
+    std::vector<std::pair<double, const DeviceSet *>> inflows;
+    double island_penalty = 0;
+    std::vector<std::int32_t> sig_row; ///< sig index -> residency row
+    std::vector<std::int64_t> row_key; ///< residency row -> param key
+    std::unordered_map<std::int64_t, std::int32_t> row_of;
+    std::size_t rows = 0;
+
+    // ---- Position pass.
+    CandidateWindows cand_windows;         ///< generator output
+    std::vector<InflowCtx> inflow_ctx;     ///< per-inflow fast path
+    std::vector<double> cand_total;        ///< per free pos: if placed
+    std::vector<std::uint32_t> pos_island; ///< per free pos: island
+    /** Per row: ascending free-list positions holding the key. */
+    std::vector<std::vector<std::uint32_t>> row_pos;
+    /** Affected-device epoch stamps: device d holds at least one of
+     *  the current entry's keys iff affected_epoch[d] == entry_epoch.
+     *  Stamping instead of clearing keeps the per-entry cost at the
+     *  size of the holder lists, not the device count. */
+    std::vector<std::uint64_t> affected_epoch;
+    std::uint64_t entry_epoch = 0;
+    /** Free-list position of each device this entry (valid iff
+     *  pos_epoch[d] == entry_epoch — the stamp doubles as the
+     *  free-membership test). Turns the holder-list -> row-position
+     *  intersection into O(1) lookups. */
+    std::vector<std::uint32_t> pos_of;
+    std::vector<std::uint64_t> pos_epoch;
+
+    // ---- Band prefixes.
+    std::vector<BandState> band_states;
+    std::size_t extras_base = 0;
+    std::size_t total_candidates = 0;
+
+    // ---- Window sweep.
+    std::vector<SweepTask> sweep_tasks;
+    LaneScratch serial_lane;
+    /** Best primary score so far in the current entry's sweep,
+     *  shared across lanes for admissible pruning. Relaxed is enough:
+     *  a stale read only prunes less, and pruning decisions never
+     *  change the winner (see placement.h). */
+    std::atomic<double> prune_bound{
+        std::numeric_limits<double>::infinity()};
+
+    Pass(const DevicePlacement &placer, const MetaGraph &g, ExecutionPlan &p,
+         bool memory_first_pass, PlacementResult &r,
+         std::vector<CommitRecord> *commit_log)
+        : topo(placer.topo_), hw(placer.hw_), mem(placer.mem_),
+          options(placer.options_), pool(placer.pool_), graph(g), plan(p),
+          result(r), log(commit_log), coll(hw.collectives()),
+          window_gen(placer.generator()), num_devices(p.numDevices),
+          memory_first(memory_first_pass),
+          capacity(topo.device().memoryBytes * options.memorySlack),
+          use_pool(pool != nullptr && pool->threads() > 1),
+          paired(options.pairingAwareFlowPricing),
+          prune(options.bandPruning),
+          link_class{
+              {topo.device().copyBandwidth, 0.0}, // overlapping device
+              topo.config().intraIsland,          // same island
+              topo.config().interIsland,          // cross island
+          },
+          affected_epoch(num_devices, 0), pos_of(num_devices, 0),
+          pos_epoch(num_devices, 0)
+    {
+        state.init(num_devices);
+        std::stable_sort(class_by_bw, class_by_bw + kNumLinkClasses,
+                         [&](int a, int b) {
+                             return link_class[a].bandwidth >
+                                    link_class[b].bandwidth;
+                         });
+        for (int r = 0; r < kNumLinkClasses; ++r)
+            rank_of_class[class_by_bw[r]] = r;
+        const bool tied_class_bandwidths =
+            link_class[0].bandwidth == link_class[1].bandwidth ||
+            link_class[0].bandwidth == link_class[2].bandwidth ||
+            link_class[1].bandwidth == link_class[2].bandwidth;
+        exact_comm = tied_class_bandwidths || !topo.uniformLinks();
+    }
+
+    /**
+     * Prefix replay: recommit the feasible prefix (device choices and
+     * their logged comm) without re-scoring it, through the same device
+     * commit a scored entry takes. The records replayed are exactly the
+     * commits the failed pass made for waves before @p resume_wave, in
+     * commit order, so the device state ends up bit-identical to that
+     * pass's state at the start of the first infeasible wave.
+     */
+    void
+    replayPrefix(const std::vector<CommitRecord> &replay,
+                 std::size_t resume_wave)
+    {
+        for (const CommitRecord &rec : replay) {
+            if (rec.wave >= resume_wave)
+                continue;
+            const WaveEntry &e = plan.waves[rec.wave].entries[rec.entry];
+            signEntry(e);
+            commitDevices(e.devices);
+            state.lastSlice[e.metaOp] = e.devices;
+            result.estimatedCommSeconds += rec.comm;
+            result.interIslandCommSeconds += rec.interIsland;
+        }
+    }
+
+    /**
+     * Entry placement order: highest communication volume first (or
+     * largest memory first in the fallback pass). Sort keys are
+     * precomputed; the former comparator re-derived them on every
+     * comparison (including a bestConfig search per probe in the
+     * fallback pass).
+     */
+    std::vector<std::size_t>
+    entryOrder(const Wave &wave) const
+    {
+        std::vector<std::size_t> order(wave.entries.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        if (options.strategy != PlacementStrategy::Spindle)
+            return order;
+        std::vector<double> sort_key(wave.entries.size());
+        for (std::size_t i = 0; i < wave.entries.size(); ++i) {
+            const WaveEntry &e = wave.entries[i];
+            const MetaOp &m = graph.metaOp(e.metaOp);
+            if (memory_first) {
+                ParallelConfig config = hw.bestConfig(memberDesc(m), e.n);
+                sort_key[i] = mem.sliceBytesPerDevice(m, e.numOps, config);
+            } else {
+                double vol = m.activationBytes; // outflow / chain
+                if (e.opBegin == 0) {
+                    for (const MetaEdge &edge : graph.edges())
+                        if (edge.dst == e.metaOp)
+                            vol += edge.flowBytes;
+                }
+                sort_key[i] = vol;
+            }
+        }
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      if (sort_key[a] != sort_key[b])
+                          return sort_key[a] > sort_key[b];
+                      return a < b;
+                  });
+        return order;
+    }
+
+    /** Per-op parameter share charged to each device of a slice. */
+    double
+    paramShare(const OperatorDesc &op) const
+    {
+        const double shard = op.paramBytes / cfg.tp /
+                             (mem.params().zeroShardParams ? cfg.dp : 1.0);
+        const double opt = op.paramBytes / cfg.tp *
+                           mem.params().optimizerFactor /
+                           (mem.params().zeroShardOptimizer ? cfg.dp : 1.0);
+        return shard + opt;
+    }
+
+    /**
+     * Entry signature, the part a replayed entry needs too: parallel
+     * config, activation share, the slice parameter signature, its
+     * distinct keys with their maximum shares, and the commit loop's
+     * working set.
+     */
+    void
+    signEntry(const WaveEntry &e)
+    {
+        const MetaOp &m = graph.metaOp(e.metaOp);
+        cfg = hw.bestConfig(memberDesc(m), e.n);
+        n = e.n;
+        act_share = mem.activationBytesPerDevice(m, e.numOps, cfg);
+
+        sig.clear();
+        sig.reserve(static_cast<std::size_t>(e.numOps));
+        for (std::int64_t i = 0; i < e.numOps; ++i) {
+            const OperatorDesc &op = graph.base().op(m.ops[e.opBegin + i]);
+            sig.push_back({paramDedupKey(op), paramShare(op), op.paramBytes});
+        }
+
+        // Distinct keys of the slice (affected-set derivation and
+        // reverse-index upkeep at commit). Zero-byte keys are included on
+        // purpose: they still sit in the device maps, so a device holding
+        // one is "affected" — its probe loop takes the hit branch.
+        uniq_keys.clear();
+        for (const SliceParam &sp : sig)
+            uniq_keys.push_back(sp.key);
+        std::sort(uniq_keys.begin(), uniq_keys.end());
+        uniq_keys.erase(std::unique(uniq_keys.begin(), uniq_keys.end()),
+                        uniq_keys.end());
+        // Max share per distinct key (the value a device that held
+        // nothing ends up storing — mergeFlat strict-max folds it into
+        // the mirror at commit) and the distinct keys in first-occurrence
+        // order (the commit loop's working set, see commit_keys).
+        uniq_vals.assign(uniq_keys.size(),
+                         -std::numeric_limits<double>::infinity());
+        key_seen.assign(uniq_keys.size(), 0);
+        commit_keys.clear();
+        const auto uniq_index = [&](std::int64_t key) {
+            return static_cast<std::size_t>(
+                std::lower_bound(uniq_keys.begin(), uniq_keys.end(), key) -
+                uniq_keys.begin());
+        };
+        for (const SliceParam &sp : sig) {
+            const std::size_t i = uniq_index(sp.key);
+            if (sp.share > uniq_vals[i])
+                uniq_vals[i] = sp.share;
+            if (!key_seen[i]) {
+                key_seen[i] = 1;
+                commit_keys.emplace_back(sp.key, 0.0);
+            }
+        }
+        // Resolve the shares once every occurrence is folded.
+        for (auto &kv : commit_keys)
+            kv.second = uniq_vals[uniq_index(kv.first)];
+    }
+
+    /**
+     * Entry signature, the scoring part: inflows, the island penalty and
+     * the residency rows.
+     */
+    void
+    scoringContext(const WaveEntry &e)
+    {
+        const MetaOp &m = graph.metaOp(e.metaOp);
+
+        // Inter-wave data sources feeding this entry: first slices pull
+        // from predecessor MetaOps, later slices from the own MetaOp's
+        // previous slice.
+        inflows.clear();
+        if (e.opBegin == 0) {
+            for (const MetaEdge &edge : graph.edges()) {
+                if (edge.dst != e.metaOp)
+                    continue;
+                auto it = state.lastSlice.find(edge.src);
+                if (it != state.lastSlice.end())
+                    inflows.emplace_back(edge.flowBytes, &it->second);
+            }
+        } else {
+            auto it = state.lastSlice.find(e.metaOp);
+            if (it != state.lastSlice.end())
+                inflows.emplace_back(m.activationBytes, &it->second);
+        }
+
+        // Intra-island preference: a TP group spanning islands pays the
+        // real collective slowdown. Window-independent, hoisted out of
+        // the scoring loop. Charged at the *default* link classes (the
+        // same reference the paper's heuristic uses) even on non-uniform
+        // fabrics.
+        island_penalty = 0;
+        if (cfg.tp > 1) {
+            const double shard = m.activationBytes / cfg.dp;
+            const double slow = CollectiveModel::ringAllReduce(
+                shard, cfg.tp, topo.config().interIsland);
+            const double fast = CollectiveModel::ringAllReduce(
+                shard, cfg.tp, topo.config().intraIsland);
+            island_penalty =
+                2.0 * static_cast<double>(e.numOps) * (slow - fast);
+        }
+
+        // Residency rows: one per distinct parameter key of positive size
+        // carried by the slice (affinity scoring).
+        sig_row.assign(sig.size(), -1);
+        row_of.clear();
+        row_key.clear();
+        for (std::size_t i = 0; i < sig.size(); ++i) {
+            if (sig[i].bytes <= 0)
+                continue;
+            auto [it, inserted] = row_of.emplace(
+                sig[i].key, static_cast<std::int32_t>(row_key.size()));
+            if (inserted)
+                row_key.push_back(sig[i].key);
+            sig_row[i] = it->second;
+        }
+        rows = row_key.size();
+    }
+
+    /**
+     * Sequential strategy: the next consecutive device ids, wrapping; no
+     * awareness, and — by design — no dependence on the island
+     * structure, so the baseline keeps its semantics under any
+     * renumbering of the cluster. The single candidate is scored with
+     * the sweep's helpers; no memory capacity check rejects it in this
+     * ablation. Returns the window's comm.
+     */
+    double
+    placeSequential(DeviceSet &win)
+    {
+        win.clear();
+        for (std::uint32_t k = 0; k < n; ++k)
+            win.push_back((seq_cursor + k) % num_devices);
+        canonicalize(win);
+        // Wrapping can collapse duplicates only if n > num_devices, which
+        // validate() forbids.
+        seq_cursor = (seq_cursor + n) % num_devices;
+
+        double comm = flowComm(win);
+        std::vector<char> &row_nonres = serial_lane.row_nonres;
+        row_nonres.resize(rows);
+        for (std::size_t r = 0; r < rows; ++r)
+            row_nonres[r] =
+                std::none_of(win.begin(), win.end(), [&](DeviceId d) {
+                    return state.findFlat(d, row_key[r]) != nullptr;
+                });
+        comm += affinity(nonResidentBytes(row_nonres));
+        if (cfg.tp > 1 && !topo.withinOneIsland(win))
+            comm += island_penalty;
+        return comm;
+    }
+
+    /**
+     * Position pass (phase A): generate and check the candidate windows,
+     * then compute per free position the device's would-be total, its
+     * island, and its link class per inflow, plus the per-row residency
+     * positions.
+     */
+    void
+    positionPass()
+    {
+        const std::size_t F = free.size();
+        generateWindows();
+        buildInflowContexts();
+        if (cand_total.size() < F) {
+            cand_total.resize(F);
+            pos_island.resize(F);
+        }
+
+        // The would-be per-device load splits into one shared all-miss
+        // base and sparse overrides: a device holding none of the slice's
+        // keys misses every probe, so its delta is act_share plus every
+        // share — accumulated here once, in the exact order the probe
+        // loop performs, so the base is bit-identical to the probes it
+        // replaces. Only the *affected* devices (union of the keys'
+        // holder lists) can deviate and take the probe loop.
+        double sig_base = act_share;
+        for (const SliceParam &sp : sig)
+            sig_base += sp.share;
+        ++entry_epoch;
+        for (std::int64_t key : uniq_keys) {
+            const auto hit = state.holders.find(key);
+            if (hit == state.holders.end())
+                continue;
+            for (DeviceId d : hit->second)
+                affected_epoch[d] = entry_epoch;
+        }
+
+        // Positions are independent (each lane touches its own device's
+        // lazy total), so this is the entry's first parallel region.
+        auto compute_position = [&](std::size_t pos) {
+            const DeviceId d = free[pos];
+            pos_of[d] = static_cast<std::uint32_t>(pos);
+            pos_epoch[d] = entry_epoch;
+            double add;
+            if (affected_epoch[d] != entry_epoch) {
+                add = sig_base;
+            } else {
+                add = act_share;
+                for (const SliceParam &sp : sig) {
+                    const double *held = state.findFlat(d, sp.key);
+                    if (held == nullptr)
+                        add += sp.share;
+                    else if (sp.share > *held)
+                        add += sp.share - *held;
+                }
+            }
+            cand_total[pos] = state.deviceTotal(d) + add;
+            const std::uint32_t isl = topo.islandOf(d);
+            pos_island[pos] = isl;
+
+            if (!exact_comm) {
+                // Class tables are precomputed per island (see
+                // buildInflowContexts): one lookup per inflow.
+                for (std::size_t k = 0; k < inflows.size(); ++k) {
+                    InflowCtx &ctx = inflow_ctx[k];
+                    ctx.cls[pos] =
+                        ctx.inSrc[pos] ? ctx.clsIn[isl] : ctx.clsOut[isl];
+                }
+            }
+        };
+        const std::size_t pos_work = F * (inflows.size() + 2);
+        maybeParallelFor(pool, pos_work >= kMinParallelWork, 0, F, 16,
+                         compute_position);
+
+        // Sparse residency: per row, the ascending free-list positions
+        // whose device already holds the row's key — exactly the
+        // still-free holders, so the lists stay tiny relative to F and
+        // bands intersect them instead of scanning a rows x F flag matrix.
+        if (row_pos.size() < rows)
+            row_pos.resize(rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+            row_pos[r].clear();
+            const auto hit = state.holders.find(row_key[r]);
+            if (hit == state.holders.end())
+                continue;
+            for (DeviceId d : hit->second)
+                if (pos_epoch[d] == entry_epoch)
+                    row_pos[r].push_back(pos_of[d]);
+            std::sort(row_pos[r].begin(), row_pos[r].end());
+        }
+    }
+
+    /**
+     * Candidate windows from the configured generator: bands (every
+     * length-n contiguous subsequence of an ordered position sequence)
+     * and explicit extras. A generator can be user code
+     * (PlacementOptions::generator), and the sweep indexes per-position
+     * state with its output unchecked, so the output is checked here
+     * once, in O(emitted positions).
+     */
+    void
+    generateWindows()
+    {
+        window_gen.generate({topo, free, n}, cand_windows);
+        for (const auto &band : cand_windows.bands) {
+            panicIf(band.size() > kClsFieldMask,
+                    "tryPlace: generator emitted a band of ", band.size(),
+                    " positions; the packed class counters hold at most ",
+                    kClsFieldMask);
+            checkPositions(band, "band");
+        }
+        for (const auto &win_pos : cand_windows.extras) {
+            panicIf(win_pos.size() != n,
+                    "tryPlace: generator emitted a window of the wrong size");
+            checkPositions(win_pos, "extra");
+        }
+    }
+
+    /** Panic unless @p pos ascends strictly within the free list (so
+     *  every realized window is a canonical DeviceSet). */
+    void
+    checkPositions(const std::vector<std::uint32_t> &pos,
+                   const char *kind) const
+    {
+        for (std::size_t i = 0; i < pos.size(); ++i) {
+            panicIf(pos[i] >= free.size(), "tryPlace: generator ", kind,
+                    " position ", pos[i], " out of range (", free.size(),
+                    " free devices)");
+            panicIf(i > 0 && pos[i] <= pos[i - 1], "tryPlace: generator ",
+                    kind, " positions do not ascend at index ", i);
+        }
+    }
+
+    /** Entry-wide per-inflow context of the uniform-fabric fast path. */
+    void
+    buildInflowContexts()
+    {
+        inflow_ctx.resize(inflows.size());
+        if (exact_comm)
+            return;
+        const std::size_t F = free.size();
+        const std::size_t num_isl = topo.numIslands();
+        for (std::size_t k = 0; k < inflows.size(); ++k) {
+            const auto &[bytes, src_ptr] = inflows[k];
+            const DeviceSet &src = *src_ptr;
+            InflowCtx &ctx = inflow_ctx[k];
+
+            // The whole flow over the best pair, sharded across
+            // min(|src|, n) streams — both pricing modes: the
+            // pairing-aware oracle is this bound scaled by its window's
+            // island-miss fraction (see pairedFlowTime).
+            const double streams =
+                static_cast<double>(std::min<std::size_t>(src.size(), n));
+            for (int c = 0; c < kNumLinkClasses; ++c)
+                ctx.flowByClass[c] = bytes / streams / link_class[c].bandwidth +
+                                     link_class[c].latency;
+            ctx.srcSize = static_cast<std::uint32_t>(src.size());
+            ctx.srcCountByIsland.assign(num_isl, 0);
+            for (DeviceId s : src)
+                ++ctx.srcCountByIsland[topo.islandOf(s)];
+            if (ctx.cls.size() < F)
+                ctx.cls.resize(F);
+
+            // A device's class is the fastest one it has any pair in:
+            // copy needs the device itself in src, intra another src
+            // device in its island, inter a src device in a different
+            // island. That depends only on (island, in-src), so resolve
+            // it here per island — probing classes in bandwidth order, as
+            // the per-position loop used to — and mark the in-src
+            // positions from the source set.
+            ctx.clsIn.resize(num_isl);
+            ctx.clsOut.resize(num_isl);
+            auto pick = [&](const bool *avail) {
+                int cls = class_by_bw[kNumLinkClasses - 1];
+                for (int r = 0; r < kNumLinkClasses; ++r) {
+                    if (avail[class_by_bw[r]]) {
+                        cls = class_by_bw[r];
+                        break;
+                    }
+                }
+                return static_cast<std::uint8_t>(cls);
+            };
+            for (std::size_t isl = 0; isl < num_isl; ++isl) {
+                const std::uint32_t cnt = ctx.srcCountByIsland[isl];
+                const bool avail_in[kNumLinkClasses] = {true, cnt > 1,
+                                                        ctx.srcSize > cnt};
+                const bool avail_out[kNumLinkClasses] = {false, cnt > 0,
+                                                         ctx.srcSize > cnt};
+                ctx.clsIn[isl] = pick(avail_in);
+                ctx.clsOut[isl] = pick(avail_out);
+            }
+            ctx.inSrc.assign(F, 0);
+            for (DeviceId s : src) {
+                const auto fit = std::lower_bound(free.begin(), free.end(), s);
+                if (fit != free.end() && *fit == s)
+                    ctx.inSrc[static_cast<std::size_t>(fit - free.begin())] =
+                        1;
+            }
+        }
+    }
+
+    /**
+     * Band prefixes (phase B): per-band prefix state. Sizing and ordinal
+     * bases are serial (cheap, and resizes must not race); the fills are
+     * independent per band and per residency row.
+     */
+    void
+    bandPrefixes()
+    {
+        const std::size_t num_bands = cand_windows.bands.size();
+        if (band_states.size() < num_bands)
+            band_states.resize(num_bands);
+        std::size_t ordinal = 0;
+        std::size_t band_positions = 0;
+        for (std::size_t b = 0; b < num_bands; ++b) {
+            BandState &bs = band_states[b];
+            const std::size_t B = cand_windows.bands[b].size();
+            bs.ordinalBase = ordinal;
+            bs.numWindows = B >= n ? B - n + 1 : 0;
+            ordinal += bs.numWindows;
+            if (bs.numWindows == 0)
+                continue;
+            band_positions += B;
+            if (cfg.tp > 1 && bs.chgPref.size() < B)
+                bs.chgPref.resize(B);
+            if (bs.resIdx.size() < rows)
+                bs.resIdx.resize(rows);
+            if (!exact_comm) {
+                const std::size_t need = inflows.size() * (B + 1);
+                if (bs.inflowPref.size() < need)
+                    bs.inflowPref.resize(need);
+                if (paired && bs.missPref.size() < need)
+                    bs.missPref.resize(need);
+                bs.eqWindow.assign(inflows.size(), -1);
+            }
+        }
+        extras_base = ordinal;
+        total_candidates = ordinal + cand_windows.extras.size();
+
+        const std::size_t units_per_band = 1 + rows;
+        auto build_unit = [&](std::size_t u) {
+            const std::size_t b = u / units_per_band;
+            const std::size_t sub = u % units_per_band;
+            if (sub == 0)
+                buildBandShared(b);
+            else
+                buildBandRow(b, sub - 1);
+        };
+        const std::size_t band_work =
+            band_positions * (2 + kNumLinkClasses * inflows.size());
+        maybeParallelFor(pool, band_work >= kMinParallelWork, 0,
+                         num_bands * units_per_band, 1, build_unit);
+    }
+
+    /** Shared per-band state: island-change prefix, minimum load,
+     *  link-class (and island-miss) prefixes, and the band window equal
+     *  to a source set (zero-cost transfer). */
+    void
+    buildBandShared(std::size_t b)
+    {
+        BandState &bs = band_states[b];
+        if (bs.numWindows == 0)
+            return;
+        const auto &band = cand_windows.bands[b];
+        const std::size_t B = band.size();
+        // Bands ascend (generator contract), so first position 0 and last
+        // B-1 force the identity permutation — the common ContiguousRuns
+        // case, where dropping the band[i] indirection lets the fills
+        // below vectorize.
+        const bool ident =
+            band[0] == 0 && band[B - 1] == static_cast<std::uint32_t>(B - 1);
+        const auto at = [&](std::size_t i) {
+            return ident ? static_cast<std::uint32_t>(i) : band[i];
+        };
+
+        // Island-change prefix: a window holds within one island iff no
+        // adjacent pair inside it changes islands (exact under any
+        // numbering). Only the TP island penalty reads it, so it is built
+        // only when cfg.tp > 1. The minimum load along the band always
+        // is: it is the admissible bound for the memory term (every
+        // window's maximum is >= the band-wide minimum) and the
+        // whole-band capacity skip.
+        if (cfg.tp > 1) {
+            bs.chgPref[0] = 0;
+            for (std::size_t i = 1; i < B; ++i)
+                bs.chgPref[i] =
+                    bs.chgPref[i - 1] +
+                    (pos_island[at(i)] != pos_island[at(i - 1)] ? 1u : 0u);
+        }
+        double mn;
+        if (ident) {
+            mn = cand_total[0];
+            for (std::size_t i = 1; i < B; ++i)
+                mn = std::min(mn, cand_total[i]);
+        } else {
+            mn = cand_total[band[0]];
+            for (std::size_t i = 1; i < B; ++i)
+                mn = std::min(mn, cand_total[band[i]]);
+        }
+        bs.minTotal = mn;
+
+        if (exact_comm)
+            return;
+        const std::size_t stride = B + 1;
+        for (std::size_t k = 0; k < inflows.size(); ++k) {
+            std::uint64_t *pref = bs.inflowPref.data() + k * stride;
+            const InflowCtx &ctx = inflow_ctx[k];
+            pref[0] = 0;
+            if (ident) {
+                for (std::size_t i = 0; i < B; ++i)
+                    pref[i + 1] = pref[i] + classBit(ctx.cls[i]);
+            } else {
+                for (std::size_t i = 0; i < B; ++i)
+                    pref[i + 1] = pref[i] + classBit(ctx.cls[band[i]]);
+            }
+            if (paired) {
+                // Island-miss prefix: positions whose island holds no
+                // source device (the pairing-aware surcharge counts
+                // them).
+                std::uint32_t *mpref = bs.missPref.data() + k * stride;
+                mpref[0] = 0;
+                for (std::size_t i = 0; i < B; ++i)
+                    mpref[i + 1] =
+                        mpref[i] +
+                        (ctx.srcCountByIsland[pos_island[at(i)]] == 0 ? 1u
+                                                                      : 0u);
+            }
+
+            const DeviceSet &src = *inflows[k].second;
+            if (src.size() != n)
+                continue;
+            // Devices ascend along a band, so binary-search the band for
+            // the source's first device.
+            std::size_t lo = 0, hi = B;
+            while (lo < hi) {
+                const std::size_t mid = (lo + hi) / 2;
+                if (free[band[mid]] < src.front())
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            if (lo + n <= B && sameWindow(src, band.data() + lo))
+                bs.eqWindow[k] = static_cast<std::ptrdiff_t>(lo);
+        }
+    }
+
+    /** Resident band indices of one row along one band: intersect the
+     *  band (ascending positions, per the generator contract) with the
+     *  row's holder-position list. O(holders · log B) instead of O(B). */
+    void
+    buildBandRow(std::size_t b, std::size_t row)
+    {
+        BandState &bs = band_states[b];
+        if (bs.numWindows == 0)
+            return;
+        const auto &band = cand_windows.bands[b];
+        std::vector<std::uint32_t> &out = bs.resIdx[row];
+        out.clear();
+        for (std::uint32_t p : row_pos[row]) {
+            const auto it = std::lower_bound(band.begin(), band.end(), p);
+            if (it != band.end() && *it == p)
+                out.push_back(static_cast<std::uint32_t>(it - band.begin()));
+        }
+    }
+
+    /**
+     * Window sweep (phase C): a reduction over the candidate ordinals.
+     * Chunk size only balances lanes and sets the pruning granularity;
+     * any chunking yields the same winner (the ordinal tie-break is
+     * global, and pruning is winner-preserving per chunk). The serial
+     * sweep is chunked too — that is what gives pruning its skippable
+     * units — with a floor of 4n so the per-chunk deque warm-up (n - 1
+     * positions) stays under a quarter of the chunk.
+     */
+    Candidate
+    windowSweep()
+    {
+        prune_bound.store(std::numeric_limits<double>::infinity(),
+                          std::memory_order_relaxed);
+        const std::size_t sweep_work =
+            total_candidates * (sig.size() + inflows.size() + 4);
+        const bool sweep_parallel =
+            use_pool && sweep_work >= kMinParallelWork && total_candidates > 1;
+        const std::size_t chunk_floor = std::max<std::size_t>(
+            kMinSweepChunk, 4 * static_cast<std::size_t>(n));
+        const std::size_t chunk =
+            sweep_parallel
+                ? std::max(chunk_floor,
+                           total_candidates /
+                               (static_cast<std::size_t>(pool->threads()) * 4))
+                : chunk_floor;
+        sweep_tasks.clear();
+        for (std::size_t b = 0; b < cand_windows.bands.size(); ++b) {
+            const std::size_t W = band_states[b].numWindows;
+            for (std::size_t lo = 0; lo < W; lo += chunk)
+                sweep_tasks.push_back({static_cast<std::int32_t>(b), lo,
+                                       std::min(lo + chunk, W)});
+        }
+        const std::size_t num_extras = cand_windows.extras.size();
+        for (std::size_t lo = 0; lo < num_extras; lo += chunk)
+            sweep_tasks.push_back({-1, lo, std::min(lo + chunk, num_extras)});
+
+        auto run_task = [&](const SweepTask &t, Candidate &best,
+                            LaneScratch &lane) {
+            if (t.band >= 0)
+                scoreBandRange(static_cast<std::size_t>(t.band), t.lo, t.hi,
+                               best, lane);
+            else
+                for (std::size_t ei = t.lo; ei < t.hi; ++ei)
+                    scoreExtra(ei, best, lane);
+        };
+
+        Candidate best;
+        if (sweep_parallel && sweep_tasks.size() > 1) {
+            best = pool->parallelReduce<Candidate>(
+                0, sweep_tasks.size(), 1,
+                [&](Candidate &acc, std::size_t lo, std::size_t hi) {
+                    LaneScratch lane;
+                    for (std::size_t t = lo; t < hi; ++t)
+                        run_task(sweep_tasks[t], acc, lane);
+                },
+                [](Candidate &out, const Candidate &c) {
+                    if (betterThan(c, out))
+                        out = c;
+                });
+        } else {
+            for (const SweepTask &t : sweep_tasks)
+                run_task(t, best, serial_lane);
+        }
+        return best;
+    }
+
+    /**
+     * Score band @p b's windows with start in [w_lo, w_hi). The memory
+     * extremum uses a monotonic deque (sliding-window maximum over the
+     * per-device candidate totals along the band); a chunk warms its own
+     * deque over the n-1 positions before its first window, so the
+     * maximum — a selection, not an accumulation — is bit-identical to
+     * the full scan.
+     *
+     * Before scoring, the chunk may be pruned (see chunkLowerBound): it
+     * is skipped only when its bound is *strictly* above an
+     * already-scored primary — such a chunk cannot contain the winner
+     * even via the (secondary, ordinal) tie-break, which only arbitrates
+     * equal primaries. See placement.h.
+     */
+    void
+    scoreBandRange(std::size_t b, std::size_t w_lo, std::size_t w_hi,
+                   Candidate &best, LaneScratch &lane)
+    {
+        const auto &band = cand_windows.bands[b];
+        const BandState &bs = band_states[b];
+        const std::size_t stride = band.size() + 1;
+        if (prune && bs.minTotal > capacity)
+            return; // every window fails capacity
+
+        // Per-row sweep pointers: first resident band index >= w_lo;
+        // advanced as the window slides (amortized O(1) per window).
+        std::vector<std::size_t> &row_ptr = lane.row_ptr;
+        std::vector<char> &row_nonres = lane.row_nonres;
+        row_ptr.resize(rows);
+        row_nonres.resize(rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+            const auto &idx = bs.resIdx[r];
+            row_ptr[r] = static_cast<std::size_t>(
+                std::lower_bound(idx.begin(), idx.end(),
+                                 static_cast<std::uint32_t>(w_lo)) -
+                idx.begin());
+        }
+        if (prune && chunkLowerBound(b, w_lo, w_hi, row_ptr, row_nonres) >
+                         prune_bound.load(std::memory_order_relaxed))
+            return;
+
+        std::vector<std::size_t> &dq = lane.dq;
+        dq.clear();
+        std::size_t head = 0;
+        const std::size_t i_end = w_hi + n - 1;
+        for (std::size_t i = w_lo; i < i_end; ++i) {
+            while (dq.size() > head &&
+                   cand_total[band[dq.back()]] <= cand_total[band[i]])
+                dq.pop_back();
+            dq.push_back(i);
+            if (i + 1 < w_lo + n)
+                continue; // window not yet full
+            const std::size_t w = i + 1 - n;
+            if (dq[head] < w)
+                ++head;
+            const double max_total = cand_total[band[dq[head]]];
+
+            // Memory feasibility. Division by a positive constant is
+            // monotone, so dividing the window maximum equals the former
+            // per-device quotient maximum.
+            if (max_total > capacity)
+                continue;
+
+            // Inter-wave communication, accumulated in the same source
+            // order as always.
+            double comm = 0;
+            if (exact_comm) {
+                comm = exactWindowComm(band.data() + w, lane.win);
+            } else {
+                for (std::size_t k = 0; k < inflows.size(); ++k) {
+                    if (static_cast<std::ptrdiff_t>(w) == bs.eqWindow[k])
+                        continue; // data resident
+                    if (inflows[k].first <= 0)
+                        continue;
+                    const std::uint64_t *pref =
+                        bs.inflowPref.data() + k * stride;
+                    const std::uint64_t diff = pref[w + n] - pref[w];
+                    // Fastest link class present in the window (classes
+                    // partition the devices, so the probe always finds
+                    // one).
+                    int cls = class_by_bw[kNumLinkClasses - 1];
+                    for (int r = 0; r < kNumLinkClasses; ++r) {
+                        if (classPresent(diff, class_by_bw[r])) {
+                            cls = class_by_bw[r];
+                            break;
+                        }
+                    }
+                    const double t = inflow_ctx[k].flowByClass[cls];
+                    if (paired) {
+                        const std::uint32_t *mpref =
+                            bs.missPref.data() + k * stride;
+                        comm += pairedSurcharge(t, mpref[w + n] - mpref[w], n);
+                        continue;
+                    }
+                    comm += t;
+                }
+            }
+
+            // Parameter affinity; the per-row flags come from the sliding
+            // pointers into the sparse resident-index lists.
+            for (std::size_t r = 0; r < rows; ++r) {
+                const auto &idx = bs.resIdx[r];
+                std::size_t &ptr = row_ptr[r];
+                while (ptr < idx.size() && idx[ptr] < w)
+                    ++ptr;
+                row_nonres[r] =
+                    (ptr >= idx.size() || idx[ptr] >= w + n) ? 1 : 0;
+            }
+            comm += affinity(nonResidentBytes(row_nonres));
+
+            if (cfg.tp > 1 && bs.chgPref[w + n - 1] != bs.chgPref[w])
+                comm += island_penalty;
+
+            consider(best, max_total, comm, bs.ordinalBase + w,
+                     static_cast<std::int32_t>(b), w);
+        }
+    }
+
+    /**
+     * Exact lower bound on the primary score of every window of band
+     * @p b with start in [w_lo, w_hi), given each row's first resident
+     * band index >= w_lo in @p row_ptr: the minimum load along the
+     * band for the memory term, the cheapest link class present
+     * anywhere in the chunk's position range per inflow, residency
+     * over the whole range for the affinity term, and min(0, penalty)
+     * for the island penalty. Each term is <= its counterpart in every
+     * window's score and is accumulated in the same structural order,
+     * so by monotonicity of rounded addition the bound never exceeds
+     * any window's primary.
+     */
+    double
+    chunkLowerBound(std::size_t b, std::size_t w_lo, std::size_t w_hi,
+                    const std::vector<std::size_t> &row_ptr,
+                    std::vector<char> &row_nonres) const
+    {
+        const BandState &bs = band_states[b];
+        if (memory_first)
+            return bs.minTotal / topo.device().memoryBytes;
+        // Chunk windows cover band positions [w_lo, w_hi + n - 1).
+        const std::size_t r_end = w_hi + n - 1;
+        const std::size_t stride = cand_windows.bands[b].size() + 1;
+        double lb = 0;
+        if (!exact_comm) {
+            for (std::size_t k = 0; k < inflows.size(); ++k) {
+                if (inflows[k].first <= 0)
+                    continue;
+                const std::ptrdiff_t eq = bs.eqWindow[k];
+                if (eq >= static_cast<std::ptrdiff_t>(w_lo) &&
+                    eq < static_cast<std::ptrdiff_t>(w_hi))
+                    continue; // one window pays 0
+                // Cheapest class present anywhere in the range: a
+                // window's class is present in it, hence in the range,
+                // hence covered by this min (classes can invert the
+                // bandwidth order via latency, so min over values, not
+                // first by rank).
+                const std::uint64_t *pref = bs.inflowPref.data() + k * stride;
+                const std::uint64_t diff = pref[r_end] - pref[w_lo];
+                double t = std::numeric_limits<double>::infinity();
+                for (int c = 0; c < kNumLinkClasses; ++c)
+                    if (classPresent(diff, c))
+                        t = std::min(t, inflow_ctx[k].flowByClass[c]);
+                lb += t;
+            }
+        }
+        // Rows with no resident position in the whole range are
+        // non-resident in every window; their bytes are a floor on the
+        // affinity term.
+        for (std::size_t r = 0; r < rows; ++r) {
+            const auto &idx = bs.resIdx[r];
+            row_nonres[r] =
+                (row_ptr[r] >= idx.size() || idx[row_ptr[r]] >= r_end) ? 1
+                                                                       : 0;
+        }
+        lb += affinity(nonResidentBytes(row_nonres));
+        if (cfg.tp > 1)
+            lb += std::min(0.0, island_penalty);
+        lb += options.memoryWeight * (bs.minTotal / topo.device().memoryBytes);
+        return lb;
+    }
+
+    /** Score one explicit window (cross-island unions etc.). */
+    void
+    scoreExtra(std::size_t ei, Candidate &best, LaneScratch &lane)
+    {
+        const auto &win_pos = cand_windows.extras[ei];
+        double max_total = 0;
+        for (std::uint32_t p : win_pos)
+            max_total = std::max(max_total, cand_total[p]);
+        if (max_total > capacity)
+            return;
+
+        double comm = exact_comm ? exactWindowComm(win_pos.data(), lane.win)
+                                 : extraClassComm(win_pos);
+
+        std::vector<char> &row_nonres = lane.row_nonres;
+        row_nonres.resize(rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+            const auto &rp = row_pos[r];
+            row_nonres[r] = std::none_of(
+                win_pos.begin(), win_pos.end(), [&](std::uint32_t p) {
+                    return std::binary_search(rp.begin(), rp.end(), p);
+                });
+        }
+        comm += affinity(nonResidentBytes(row_nonres));
+
+        if (cfg.tp > 1 &&
+            std::any_of(win_pos.begin(), win_pos.end(), [&](std::uint32_t p) {
+                return pos_island[p] != pos_island[win_pos.front()];
+            }))
+            comm += island_penalty;
+
+        consider(best, max_total, comm, extras_base + ei, -1, ei);
+    }
+
+    /** Class-level (uniform-fabric) comm of one explicit window: the
+     *  per-inflow fastest class over its positions. */
+    double
+    extraClassComm(const std::vector<std::uint32_t> &win_pos) const
+    {
+        double comm = 0;
+        for (std::size_t k = 0; k < inflows.size(); ++k) {
+            const InflowCtx &ctx = inflow_ctx[k];
+            if (sameWindow(*inflows[k].second, win_pos.data()))
+                continue; // data already resident
+            if (inflows[k].first <= 0)
+                continue;
+            int best_rank = kNumLinkClasses - 1;
+            for (std::uint32_t p : win_pos) {
+                best_rank = std::min(best_rank, rank_of_class[ctx.cls[p]]);
+                if (best_rank == 0)
+                    break;
+            }
+            const double t = ctx.flowByClass[class_by_bw[best_rank]];
+            if (paired) {
+                std::uint32_t miss = 0;
+                for (std::uint32_t p : win_pos)
+                    if (ctx.srcCountByIsland[pos_island[p]] == 0)
+                        ++miss;
+                comm += pairedSurcharge(t, miss, n);
+                continue;
+            }
+            comm += t;
+        }
+        return comm;
+    }
+
+    /**
+     * Fold one scored window into @p best. Mirrors the historical
+     * replace-on-strictly-better scan (see struct Candidate), and
+     * publishes improved primaries into the shared pruning bound.
+     */
+    void
+    consider(Candidate &best, double max_total, double comm,
+             std::size_t ord, std::int32_t band, std::size_t start)
+    {
+        const double peak_frac = max_total / topo.device().memoryBytes;
+        const Candidate c =
+            memory_first ? Candidate{peak_frac, comm, comm, ord, band, start}
+                         : Candidate{comm + options.memoryWeight * peak_frac,
+                                     peak_frac, comm, ord, band, start};
+        if (!betterThan(c, best))
+            return;
+        best = c;
+        if (prune) {
+            double cur = prune_bound.load(std::memory_order_relaxed);
+            while (c.primary < cur &&
+                   !prune_bound.compare_exchange_weak(
+                       cur, c.primary, std::memory_order_relaxed))
+                ;
+        }
+    }
+
+    /** Whether the window at free-list positions @p pos is @p src (a
+     *  transfer from @p src into it moves nothing). */
+    bool
+    sameWindow(const DeviceSet &src, const std::uint32_t *pos) const
+    {
+        return src.size() == n &&
+               std::equal(src.begin(), src.end(), pos,
+                          [&](DeviceId s, std::uint32_t p) {
+                              return free[p] == s;
+                          });
+    }
+
+    /** Free-list positions of a candidate's window. */
+    const std::uint32_t *
+    windowPositions(const Candidate &c) const
+    {
+        if (c.band >= 0)
+            return cand_windows.bands[static_cast<std::size_t>(c.band)].data() +
+                   c.start;
+        return cand_windows.extras[c.start].data();
+    }
+
+    /** The devices at @p pos[0, n) of the free list. */
+    void
+    materialise(const std::uint32_t *pos, DeviceSet &win) const
+    {
+        win.resize(n);
+        for (std::uint32_t j = 0; j < n; ++j)
+            win[j] = free[pos[j]];
+    }
+
+    /** Comm of the entry's inflows into @p win with the flow oracle, in
+     *  inflow order. */
+    double
+    flowComm(const DeviceSet &win) const
+    {
+        double comm = 0;
+        for (const auto &[bytes, src] : inflows)
+            comm += paired ? coll.pairedFlowTime(bytes, *src, win)
+                           : coll.flowTime(bytes, *src, win);
+        return comm;
+    }
+
+    /** flowComm() of the window at free-list positions @p pos (exact-comm
+     *  path, see link_class), materialised into @p win. */
+    double
+    exactWindowComm(const std::uint32_t *pos, DeviceSet &win) const
+    {
+        if (inflows.empty())
+            return 0;
+        materialise(pos, win);
+        return flowComm(win);
+    }
+
+    /** Raw bytes of the slice's parameters flagged non-resident in
+     *  @p row_nonres, accumulated in sig order (the historical FP
+     *  order). */
+    double
+    nonResidentBytes(const std::vector<char> &row_nonres) const
+    {
+        double bytes = 0;
+        if (rows == 0)
+            return bytes;
+        for (std::size_t s = 0; s < sig.size(); ++s) {
+            const std::int32_t row = sig_row[s];
+            if (row >= 0 && row_nonres[static_cast<std::size_t>(row)])
+                bytes += sig[s].bytes;
+        }
+        return bytes;
+    }
+
+    /**
+     * Parameter affinity (§3.5): windows whose devices already store the
+     * slice's parameter sets are rewarded; placing elsewhere would grow
+     * the corresponding gradient-sync groups by roughly one ring pass of
+     * the non-resident bytes.
+     */
+    double
+    affinity(double non_resident_bytes) const
+    {
+        return options.paramAffinityWeight * 2.0 * non_resident_bytes /
+               topo.config().interIslandCollective.bandwidth;
+    }
+
+    /**
+     * Commit, the device part shared by scored and replayed entries:
+     * reverse-index upkeep, then the parameter and activation state of
+     * every device of @p win.
+     */
+    void
+    commitDevices(const DeviceSet &win)
+    {
+        // Reverse-index upkeep, serially before the commit mutates any
+        // device: a key gains exactly the window devices that do not yet
+        // hold it (probed against the still-pre-commit flat mirror).
+        // uniq_keys is deduplicated, so no device is appended twice for
+        // one key, keeping holder lists exact.
+        for (std::int64_t key : uniq_keys) {
+            std::vector<DeviceId> *hv = nullptr;
+            for (DeviceId d : win) {
+                if (state.findFlat(d, key) != nullptr)
+                    continue;
+                if (hv == nullptr)
+                    hv = &state.holders[key];
+                hv->push_back(d);
+            }
+        }
+
+        // Devices are committed independently (each lane touches only its
+        // own device's map, flat mirror, and dirty bit), so large entries
+        // parallelize; order is irrelevant to the resulting state.
+        auto commit_device = [&](std::size_t j) {
+            const DeviceId d = win[j];
+            state.activations[d] += act_share;
+            for (const auto &[key, share] : commit_keys) {
+                auto [it, inserted] = state.params[d].emplace(key, share);
+                if (!inserted && share > it->second)
+                    it->second = share;
+            }
+            state.mergeFlat(d, uniq_keys, uniq_vals);
+            state.total_dirty[d] = 1;
+        };
+        maybeParallelFor(pool,
+                         win.size() * (sig.size() + 1) >= kMinParallelWork, 0,
+                         win.size(), 8, commit_device);
+    }
+
+    /**
+     * Commit (stage 7): the device commit, then inter-island
+     * attribution, the commit log, and free-list compaction for entry
+     * @p idx of wave @p wi placed on @p win at @p comm.
+     */
+    void
+    commit(std::size_t wi, std::size_t idx, double comm, DeviceSet win)
+    {
+        commitDevices(win);
+
+        // Attribute the committed flows to intra- vs inter-island fabric,
+        // shard by shard: the flow's bytes land sharded across the
+        // window, and a window device whose island holds no source device
+        // receives its shard over the inter-island fabric. Finer-grained
+        // than flowTime's best-pair pricing, which cannot tell an
+        // island-aligned window from one that merely touches the source's
+        // island. Deliberately priced with the legacy flowTime even under
+        // pairing-aware scoring, so interIslandCommSeconds stays one
+        // metric comparable across pricing modes (the acceptance
+        // comparison in planner_equivalence_test depends on this).
+        double entry_inter = 0;
+        for (const auto &[bytes, src] : inflows) {
+            const double t = coll.flowTime(bytes, *src, win);
+            if (t <= 0)
+                continue;
+            std::size_t miss = 0;
+            topo.bestLinkBetween(*src, win, &miss);
+            entry_inter += t * (static_cast<double>(miss) /
+                                static_cast<double>(win.size()));
+        }
+        if (cfg.tp > 1 && !topo.withinOneIsland(win))
+            entry_inter += island_penalty;
+        result.interIslandCommSeconds += entry_inter;
+
+        if (log != nullptr)
+            log->push_back({static_cast<std::uint32_t>(wi),
+                            static_cast<std::uint32_t>(idx), comm,
+                            entry_inter});
+
+        if (options.strategy != PlacementStrategy::Sequential) {
+            // Remove the committed devices from the free list (single
+            // compaction pass; general windows need not be contiguous
+            // runs of it).
+            std::size_t out = 0, take = 0;
+            for (std::size_t pos = 0; pos < free.size(); ++pos) {
+                if (take < win.size() && free[pos] == win[take]) {
+                    ++take;
+                    continue;
+                }
+                free[out++] = free[pos];
+            }
+            free.resize(out);
+        }
+
+        WaveEntry &e = plan.waves[wi].entries[idx];
+        e.devices = win;
+        state.lastSlice[e.metaOp] = std::move(win);
+        result.estimatedCommSeconds += comm;
     }
 };
 
@@ -443,1430 +1712,47 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
                           std::vector<CommitRecord> *log,
                           std::size_t *fail_wave) const
 {
-    const std::uint32_t num_devices = plan.numDevices;
-    const double capacity =
-        topo_.device().memoryBytes * options_.memorySlack;
-    const CollectiveModel &coll = hw_.collectives();
-    const WindowGenerator &window_gen = generator();
-    const bool use_pool = pool_ != nullptr && pool_->threads() > 1;
-
-    Attempt state;
-    state.init(num_devices);
-
-    // Per-op parameter share charged to each device of a slice.
-    auto param_share = [&](const OperatorDesc &op, ParallelConfig cfg) {
-        const double shard =
-            op.paramBytes / cfg.tp /
-            (mem_.params().zeroShardParams ? cfg.dp : 1.0);
-        const double opt =
-            op.paramBytes / cfg.tp * mem_.params().optimizerFactor /
-            (mem_.params().zeroShardOptimizer ? cfg.dp : 1.0);
-        return shard + opt;
-    };
-
-    // Partial-restart replay: recommit the feasible prefix (device
-    // choices and their logged comm) without re-scoring it. The
-    // records replayed are exactly the commits the failed pass made
-    // for waves before resume_wave, in commit order, so the attempt
-    // state ends up bit-identical to that pass's state at the start
-    // of the first infeasible wave.
+    Pass pass(*this, graph, plan, memory_first, result, log);
     if (resume_wave > 0) {
         panicIf(replay == nullptr, "tryPlace: resume without replay log");
-        for (const CommitRecord &rec : *replay) {
-            if (rec.wave >= resume_wave)
-                continue;
-            WaveEntry &e = plan.waves[rec.wave].entries[rec.entry];
-            const MetaOp &m = graph.metaOp(e.metaOp);
-            const ParallelConfig cfg =
-                hw_.bestConfig(memberDesc(m), e.n);
-            const double act_share =
-                mem_.activationBytesPerDevice(m, e.numOps, cfg);
-            for (DeviceId d : e.devices) {
-                state.activations[d] += act_share;
-                for (std::int64_t i = 0; i < e.numOps; ++i) {
-                    const OperatorDesc &op =
-                        graph.base().op(m.ops[e.opBegin + i]);
-                    const std::int64_t key = paramDedupKey(op);
-                    const double share = param_share(op, cfg);
-                    auto [it, inserted] =
-                        state.params[d].emplace(key, share);
-                    if (inserted)
-                        state.holders[key].push_back(d);
-                    else if (share > it->second)
-                        it->second = share;
-                }
-                state.markDirty(d);
-            }
-            state.lastSlice[e.metaOp] = e.devices;
-            result.estimatedCommSeconds += rec.comm;
-            result.interIslandCommSeconds += rec.interIsland;
-        }
+        pass.replayPrefix(*replay, resume_wave);
     }
-
-    // The three *default* link classes a (src set, candidate device)
-    // pair can use. CollectiveModel::flowTime maximizes bandwidth
-    // over all (src, dst) pairs, so the sweep must (a) track, per
-    // candidate device, *every* class it has a pair in — a device
-    // sharing an island with one source device still has
-    // inter-island pairs to the others — and (b) probe classes in
-    // bandwidth order, not class-index order (a config may rank its
-    // fabrics differently from the defaults). Two classes configured
-    // to the exact same bandwidth but different latency are resolved
-    // by flowTime's lower-latency tiebreak, which class-level
-    // bandwidth bookkeeping cannot reproduce; such (pathological)
-    // configs — and any topology whose islands override the default
-    // classes (uniformLinks() false), where three classes cannot
-    // describe the fabric at all — drop to scoring every window with
-    // the flow oracle directly, keeping the bit-identical contract
-    // unconditional. The same class machinery serves the
-    // pairing-aware oracle: the window's best class still sets the
-    // base flow bound, and pairedFlowTime is that bound surcharged
-    // by the window's island-miss fraction, which the per-position
-    // island ids below count exactly.
-    const LinkParams link_class[kNumLinkClasses] = {
-        {topo_.device().copyBandwidth, 0.0}, // overlapping device
-        topo_.config().intraIsland,          // same island
-        topo_.config().interIsland,          // cross island
-    };
-    int class_by_bw[kNumLinkClasses] = {0, 1, 2};
-    std::stable_sort(class_by_bw, class_by_bw + kNumLinkClasses,
-                     [&](int a, int b) {
-                         return link_class[a].bandwidth >
-                                link_class[b].bandwidth;
-                     });
-    int rank_of_class[kNumLinkClasses];
-    for (int r = 0; r < kNumLinkClasses; ++r)
-        rank_of_class[class_by_bw[r]] = r;
-    const bool tied_class_bandwidths =
-        link_class[0].bandwidth == link_class[1].bandwidth ||
-        link_class[0].bandwidth == link_class[2].bandwidth ||
-        link_class[1].bandwidth == link_class[2].bandwidth;
-    const bool exact_comm = tied_class_bandwidths || !topo_.uniformLinks();
-
-    // Window flow oracle: the legacy best-pair bound, or the
-    // pairing-aware per-destination-shard price behind the
-    // PlacementOptions flag (see placement.h). Both the exact paths
-    // and the class-level fast path below dispatch on this.
-    const bool paired = options_.pairingAwareFlowPricing;
-    auto flow_price = [&](double bytes, const DeviceSet &src,
-                          const DeviceSet &dst) {
-        return paired ? coll.pairedFlowTime(bytes, src, dst)
-                      : coll.flowTime(bytes, src, dst);
-    };
-
-    std::uint32_t seq_cursor = 0; // Sequential strategy cursor
-
-    // Scratch buffers reused across entries. All are only-grow: the
-    // elements an entry reads are exactly the elements it wrote, so
-    // stale capacity never leaks into scores.
-    std::vector<double> cand_total;        // per free pos: total if placed
-    std::vector<std::uint32_t> pos_island; // per free pos: island index
-    std::vector<SliceParam> sig;           // slice param signature
-    std::vector<std::int64_t> uniq_keys;   // distinct sig keys, sorted
-    std::vector<double> uniq_vals;         // per uniq key: max sig share
-    /** (key, max share) in first-occurrence sig order — the commit
-     *  loop's working set. Multi-task slices repeat shared keys many
-     *  times; committing each distinct key once with the strict-max
-     *  share leaves the map byte-identical (same distinct-insertion
-     *  sequence, so the same bucket layout deviceTotal() walks, and
-     *  strict-max folding is order-independent selection). */
-    std::vector<std::pair<std::int64_t, double>> commit_keys;
-    std::vector<char> key_seen;            // per uniq key, per entry
-    std::vector<std::int32_t> sig_row;     // sig index -> residency row
-    std::vector<std::int64_t> row_key;     // residency row -> param key
-    std::unordered_map<std::int64_t, std::int32_t> row_of;
-    /** Per row: ascending free-list positions holding the key. */
-    std::vector<std::vector<std::uint32_t>> row_pos;
-    std::vector<InflowCtx> inflow_ctx;     // per-inflow fast-path state
-    std::vector<BandState> band_states;    // per-band prefix state
-    CandidateWindows cand_windows;         // generator output
-    std::vector<SweepTask> sweep_tasks;
-    DeviceSet win_buf; // serial-sweep window scratch (exact-comm path)
-    std::vector<std::size_t> deque_scratch; // serial-sweep deque
-    std::vector<std::size_t> rowptr_scratch; // serial residency ptrs
-    std::vector<char> rownonres_scratch;     // serial residency flags
-
-    // Affected-device epoch stamps: device d holds at least one of
-    // the current entry's keys iff affected_epoch[d] == entry_epoch.
-    // Stamping instead of clearing keeps the per-entry cost at the
-    // size of the holder lists, not the device count.
-    std::vector<std::uint64_t> affected_epoch(num_devices, 0);
-    std::uint64_t entry_epoch = 0;
-
-    // Free-list position of each device this entry (valid iff
-    // pos_epoch[d] == entry_epoch — the stamp doubles as the
-    // free-membership test), filled by the position pass. Turns the
-    // holder-list -> row-position intersection into O(1) lookups.
-    std::vector<std::uint32_t> pos_of(num_devices, 0);
-    std::vector<std::uint64_t> pos_epoch(num_devices, 0);
-
-    // Best primary score committed so far in the current entry's
-    // sweep, shared across lanes for admissible pruning. Relaxed is
-    // enough: a stale read only prunes less, and pruning decisions
-    // never change the winner (see placement.h).
-    const bool prune = options_.bandPruning;
-    std::atomic<double> prune_bound{
-        std::numeric_limits<double>::infinity()};
 
     for (std::size_t wi = resume_wave; wi < plan.waves.size(); ++wi) {
         Wave &wave = plan.waves[wi];
-        DeviceSet free = topo_.allDevices();
-        free.resize(std::min<std::size_t>(free.size(), num_devices));
-
-        // Entry placement order: highest communication volume first
-        // (or largest memory first in the fallback pass). Sort keys
-        // are precomputed; the former comparator re-derived them on
-        // every comparison (including a bestConfig search per probe
-        // in the fallback pass).
-        std::vector<std::size_t> order(wave.entries.size());
-        for (std::size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        if (options_.strategy == PlacementStrategy::Spindle) {
-            std::vector<double> sort_key(wave.entries.size());
-            for (std::size_t i = 0; i < wave.entries.size(); ++i) {
-                const WaveEntry &e = wave.entries[i];
-                const MetaOp &m = graph.metaOp(e.metaOp);
-                if (memory_first) {
-                    ParallelConfig cfg =
-                        hw_.bestConfig(memberDesc(m), e.n);
-                    sort_key[i] =
-                        mem_.sliceBytesPerDevice(m, e.numOps, cfg);
-                } else {
-                    double vol = m.activationBytes; // outflow / chain
-                    if (e.opBegin == 0) {
-                        for (const MetaEdge &edge : graph.edges())
-                            if (edge.dst == e.metaOp)
-                                vol += edge.flowBytes;
-                    }
-                    sort_key[i] = vol;
-                }
-            }
-            std::sort(order.begin(), order.end(),
-                      [&](std::size_t a, std::size_t b) {
-                          if (sort_key[a] != sort_key[b])
-                              return sort_key[a] > sort_key[b];
-                          return a < b;
-                      });
-        }
-
-        for (std::size_t idx : order) {
-            WaveEntry &e = wave.entries[idx];
-            const MetaOp &m = graph.metaOp(e.metaOp);
-            const ParallelConfig cfg = hw_.bestConfig(memberDesc(m), e.n);
-            const double act_share =
-                mem_.activationBytesPerDevice(m, e.numOps, cfg);
-
-            panicIf(free.size() < e.n,
+        pass.free = topo_.allDevices();
+        pass.free.resize(
+            std::min<std::size_t>(pass.free.size(), plan.numDevices));
+        for (std::size_t idx : pass.entryOrder(wave)) {
+            const WaveEntry &e = wave.entries[idx];
+            panicIf(pass.free.size() < e.n,
                     "tryPlace: scheduler exceeded wave capacity");
+            pass.signEntry(e);
+            pass.scoringContext(e);
 
-            // Slice parameter signature, computed once per entry.
-            sig.clear();
-            sig.reserve(static_cast<std::size_t>(e.numOps));
-            for (std::int64_t i = 0; i < e.numOps; ++i) {
-                const OperatorDesc &op =
-                    graph.base().op(m.ops[e.opBegin + i]);
-                sig.push_back({paramDedupKey(op), param_share(op, cfg),
-                               op.paramBytes});
-            }
-
-            // Distinct keys of the slice (affected-set derivation
-            // and reverse-index upkeep at commit). Zero-byte keys
-            // are included on purpose: they still sit in the device
-            // maps, so a device holding one is "affected" — its
-            // probe loop takes the hit branch.
-            uniq_keys.clear();
-            for (const SliceParam &sp : sig)
-                uniq_keys.push_back(sp.key);
-            std::sort(uniq_keys.begin(), uniq_keys.end());
-            uniq_keys.erase(
-                std::unique(uniq_keys.begin(), uniq_keys.end()),
-                uniq_keys.end());
-            // Max share per distinct key (the value a device that
-            // held nothing ends up storing — mergeFlat strict-max
-            // folds it into the mirror at commit) and the distinct
-            // keys in first-occurrence order (the commit loop's
-            // working set, see commit_keys).
-            uniq_vals.assign(uniq_keys.size(),
-                             -std::numeric_limits<double>::infinity());
-            key_seen.assign(uniq_keys.size(), 0);
-            commit_keys.clear();
-            for (const SliceParam &sp : sig) {
-                const std::size_t i = static_cast<std::size_t>(
-                    std::lower_bound(uniq_keys.begin(),
-                                     uniq_keys.end(), sp.key) -
-                    uniq_keys.begin());
-                if (sp.share > uniq_vals[i])
-                    uniq_vals[i] = sp.share;
-                if (!key_seen[i]) {
-                    key_seen[i] = 1;
-                    commit_keys.emplace_back(sp.key, 0.0);
-                }
-            }
-            // Resolve the shares once every occurrence is folded.
-            for (auto &kv : commit_keys)
-                kv.second = uniq_vals[static_cast<std::size_t>(
-                    std::lower_bound(uniq_keys.begin(),
-                                     uniq_keys.end(), kv.first) -
-                    uniq_keys.begin())];
-
-            // Inter-wave data sources feeding this entry, in the
-            // edge order the score accumulates them: first slices
-            // pull from predecessor MetaOps, later slices from the
-            // own MetaOp's previous slice.
-            std::vector<std::pair<double, const DeviceSet *>> inflows;
-            if (e.opBegin == 0) {
-                for (const MetaEdge &edge : graph.edges()) {
-                    if (edge.dst != e.metaOp)
-                        continue;
-                    auto it = state.lastSlice.find(edge.src);
-                    if (it != state.lastSlice.end())
-                        inflows.emplace_back(edge.flowBytes,
-                                             &it->second);
-                }
-            } else {
-                auto it = state.lastSlice.find(e.metaOp);
-                if (it != state.lastSlice.end())
-                    inflows.emplace_back(m.activationBytes,
-                                         &it->second);
-            }
-
-            // Intra-island preference: a TP group spanning islands
-            // pays the real collective slowdown. Window-independent,
-            // hoisted out of the scoring loop. Charged at the
-            // *default* link classes (the same reference the paper's
-            // heuristic uses) even on non-uniform fabrics.
-            double island_penalty = 0;
-            if (cfg.tp > 1) {
-                const double shard = m.activationBytes / cfg.dp;
-                const double slow = CollectiveModel::ringAllReduce(
-                    shard, cfg.tp, topo_.config().interIsland);
-                const double fast = CollectiveModel::ringAllReduce(
-                    shard, cfg.tp, topo_.config().intraIsland);
-                island_penalty = 2.0 * static_cast<double>(e.numOps) *
-                                 (slow - fast);
-            }
-
-            double best_comm = 0;
-            DeviceSet best_win;
-
+            DeviceSet win;
+            double comm;
             if (options_.strategy == PlacementStrategy::Sequential) {
-                // Next consecutive device ids, wrapping; no
-                // awareness, and — by design — no dependence on the
-                // island structure, so the baseline keeps its
-                // semantics under any renumbering of the cluster.
-                DeviceSet win;
-                for (std::uint32_t k = 0; k < e.n; ++k)
-                    win.push_back((seq_cursor + k) % num_devices);
-                canonicalize(win);
-                // Wrapping can collapse duplicates only if n >
-                // num_devices, which validate() forbids.
-                seq_cursor = (seq_cursor + e.n) % num_devices;
-
-                // Single candidate: score it directly (the memory
-                // capacity check never rejects in this ablation).
-                double peak_frac = 0;
-                for (DeviceId d : win) {
-                    double add = act_share;
-                    for (const SliceParam &sp : sig) {
-                        auto it = state.params[d].find(sp.key);
-                        if (it == state.params[d].end())
-                            add += sp.share;
-                        else if (sp.share > it->second)
-                            add += sp.share - it->second;
-                    }
-                    const double total = state.deviceTotal(d) + add;
-                    peak_frac = std::max(
-                        peak_frac, total / topo_.device().memoryBytes);
-                }
-                double comm = 0;
-                for (const auto &[bytes, src] : inflows)
-                    comm += flow_price(bytes, *src, win);
-                double non_resident_bytes = 0;
-                for (const SliceParam &sp : sig) {
-                    if (sp.bytes <= 0)
-                        continue;
-                    bool resident = false;
-                    for (DeviceId d : win) {
-                        if (state.params[d].count(sp.key)) {
-                            resident = true;
-                            break;
-                        }
-                    }
-                    if (!resident)
-                        non_resident_bytes += sp.bytes;
-                }
-                comm += options_.paramAffinityWeight * 2.0 *
-                        non_resident_bytes /
-                        topo_.config().interIslandCollective.bandwidth;
-                if (cfg.tp > 1 && !topo_.withinOneIsland(win))
-                    comm += island_penalty;
-                best_comm = comm;
-                best_win = std::move(win);
+                comm = pass.placeSequential(win);
             } else {
-                // Candidate windows come from the configured
-                // generator: bands (every length-n contiguous
-                // subsequence of an ordered position sequence) and
-                // explicit extras. All window scores derive from
-                // per-device quantities computed once per entry; the
-                // band sweeps combine them with prefix/extremum
-                // queries that reproduce a full rescan bit for bit.
-                // The sweep itself is a (possibly parallel) reduction
-                // over candidate ordinals — see struct Candidate.
-                const std::size_t F = free.size();
-                const std::uint32_t n = e.n;
-
-                window_gen.generate({topo_, free, n}, cand_windows);
-
-                // ---- Phase A setup: entry-wide per-inflow context
-                // (uniform-fabric fast path) and residency rows.
-                inflow_ctx.resize(inflows.size());
-                if (!exact_comm) {
-                    for (std::size_t k = 0; k < inflows.size(); ++k) {
-                        const auto &[bytes, src_ptr] = inflows[k];
-                        const DeviceSet &src = *src_ptr;
-                        InflowCtx &ctx = inflow_ctx[k];
-
-                        // The whole flow over the best pair, sharded
-                        // across min(|src|, n) streams — both
-                        // pricing modes: the pairing-aware oracle is
-                        // this bound scaled by its window's
-                        // island-miss fraction (see pairedFlowTime).
-                        const double streams =
-                            static_cast<double>(std::min<std::size_t>(
-                                src.size(), n));
-                        for (int c = 0; c < kNumLinkClasses; ++c)
-                            ctx.flowByClass[c] =
-                                bytes / streams /
-                                    link_class[c].bandwidth +
-                                link_class[c].latency;
-                        ctx.srcSize =
-                            static_cast<std::uint32_t>(src.size());
-                        ctx.srcCountByIsland.assign(topo_.numIslands(),
-                                                    0);
-                        for (DeviceId s : src)
-                            ++ctx.srcCountByIsland[topo_.islandOf(s)];
-                        if (ctx.cls.size() < F)
-                            ctx.cls.resize(F);
-
-                        // A device's class is the fastest one it has
-                        // any pair in: copy needs the device itself
-                        // in src, intra another src device in its
-                        // island, inter a src device in a different
-                        // island. That depends only on (island,
-                        // in-src), so resolve it here per island —
-                        // probing classes in bandwidth order, as the
-                        // per-position loop used to — and mark the
-                        // in-src positions from the source set.
-                        const std::size_t num_isl = topo_.numIslands();
-                        ctx.clsIn.resize(num_isl);
-                        ctx.clsOut.resize(num_isl);
-                        for (std::size_t isl = 0; isl < num_isl;
-                             ++isl) {
-                            const std::uint32_t cnt =
-                                ctx.srcCountByIsland[isl];
-                            const bool avail_in[kNumLinkClasses] = {
-                                true, cnt > 1, ctx.srcSize > cnt};
-                            const bool avail_out[kNumLinkClasses] = {
-                                false, cnt > 0, ctx.srcSize > cnt};
-                            auto pick = [&](const bool *avail) {
-                                int cls =
-                                    class_by_bw[kNumLinkClasses - 1];
-                                for (int r = 0; r < kNumLinkClasses;
-                                     ++r) {
-                                    if (avail[class_by_bw[r]]) {
-                                        cls = class_by_bw[r];
-                                        break;
-                                    }
-                                }
-                                return static_cast<std::uint8_t>(cls);
-                            };
-                            ctx.clsIn[isl] = pick(avail_in);
-                            ctx.clsOut[isl] = pick(avail_out);
-                        }
-                        ctx.inSrc.assign(F, 0);
-                        for (DeviceId s : src) {
-                            const auto fit = std::lower_bound(
-                                free.begin(), free.end(), s);
-                            if (fit != free.end() && *fit == s)
-                                ctx.inSrc[static_cast<std::size_t>(
-                                    fit - free.begin())] = 1;
-                        }
-                    }
-                }
-
-                // Residency rows: one per distinct parameter key
-                // carried by the slice (affinity scoring).
-                sig_row.assign(sig.size(), -1);
-                row_of.clear();
-                row_key.clear();
-                for (std::size_t i = 0; i < sig.size(); ++i) {
-                    if (sig[i].bytes <= 0)
-                        continue;
-                    auto [it, inserted] = row_of.emplace(
-                        sig[i].key,
-                        static_cast<std::int32_t>(row_key.size()));
-                    if (inserted)
-                        row_key.push_back(sig[i].key);
-                    sig_row[i] = it->second;
-                }
-                const std::size_t rows = row_key.size();
-                if (cand_total.size() < F) {
-                    cand_total.resize(F);
-                    pos_island.resize(F);
-                }
-
-                // The would-be per-device load splits into one
-                // shared all-miss base and sparse overrides: a
-                // device holding none of the slice's keys misses
-                // every probe, so its delta is act_share plus every
-                // share — accumulated here once, in the exact order
-                // the probe loop performs, so the base is
-                // bit-identical to the probes it replaces. Only the
-                // *affected* devices (union of the keys' holder
-                // lists) can deviate and take the probe loop.
-                double sig_base = act_share;
-                for (const SliceParam &sp : sig)
-                    sig_base += sp.share;
-                ++entry_epoch;
-                for (std::int64_t key : uniq_keys) {
-                    const auto hit = state.holders.find(key);
-                    if (hit == state.holders.end())
-                        continue;
-                    for (DeviceId d : hit->second)
-                        affected_epoch[d] = entry_epoch;
-                }
-
-                // ---- Phase A: per free position, the device's
-                // would-be total, island, and link class per inflow.
-                // Positions are independent (each lane touches its
-                // own device's lazy total), so this is the entry's
-                // first parallel region.
-                auto compute_position = [&](std::size_t pos) {
-                    const DeviceId d = free[pos];
-                    pos_of[d] = static_cast<std::uint32_t>(pos);
-                    pos_epoch[d] = entry_epoch;
-                    double add;
-                    if (affected_epoch[d] != entry_epoch) {
-                        add = sig_base;
-                    } else {
-                        add = act_share;
-                        for (const SliceParam &sp : sig) {
-                            const double *held =
-                                state.findFlat(d, sp.key);
-                            if (held == nullptr)
-                                add += sp.share;
-                            else if (sp.share > *held)
-                                add += sp.share - *held;
-                        }
-                    }
-                    cand_total[pos] = state.deviceTotal(d) + add;
-                    const std::uint32_t isl = topo_.islandOf(d);
-                    pos_island[pos] = isl;
-
-                    if (!exact_comm) {
-                        // Class tables are precomputed per island
-                        // (see the inflow setup above): one lookup
-                        // per inflow.
-                        for (std::size_t k = 0; k < inflows.size();
-                             ++k) {
-                            InflowCtx &ctx = inflow_ctx[k];
-                            ctx.cls[pos] = ctx.inSrc[pos]
-                                               ? ctx.clsIn[isl]
-                                               : ctx.clsOut[isl];
-                        }
-                    }
-                };
-                const std::size_t pos_work =
-                    F * (inflows.size() + 2);
-                maybeParallelFor(pool_,
-                                 pos_work >= kMinParallelWork, 0, F,
-                                 16, compute_position);
-
-                // Sparse residency: per row, the ascending free-list
-                // positions whose device already holds the row's key
-                // — exactly the still-free holders, so the lists
-                // stay tiny relative to F and bands intersect them
-                // instead of scanning a rows x F flag matrix.
-                if (row_pos.size() < rows)
-                    row_pos.resize(rows);
-                for (std::size_t r = 0; r < rows; ++r) {
-                    row_pos[r].clear();
-                    const auto hit = state.holders.find(row_key[r]);
-                    if (hit == state.holders.end())
-                        continue;
-                    for (DeviceId d : hit->second)
-                        if (pos_epoch[d] == entry_epoch)
-                            row_pos[r].push_back(pos_of[d]);
-                    std::sort(row_pos[r].begin(), row_pos[r].end());
-                }
-
-                // ---- Phase B: per-band prefix state. Sizing and
-                // ordinal bases are serial (cheap, and resizes must
-                // not race); the fills are independent per band and
-                // per residency row.
-                const std::size_t num_bands = cand_windows.bands.size();
-                if (band_states.size() < num_bands)
-                    band_states.resize(num_bands);
-                std::size_t ordinal = 0;
-                std::size_t band_positions = 0;
-                for (std::size_t b = 0; b < num_bands; ++b) {
-                    BandState &bs = band_states[b];
-                    const std::size_t B = cand_windows.bands[b].size();
-                    bs.ordinalBase = ordinal;
-                    bs.numWindows = B >= n ? B - n + 1 : 0;
-                    ordinal += bs.numWindows;
-                    if (bs.numWindows == 0)
-                        continue;
-                    band_positions += B;
-                    if (cfg.tp > 1 && bs.chgPref.size() < B)
-                        bs.chgPref.resize(B);
-                    if (bs.resIdx.size() < rows)
-                        bs.resIdx.resize(rows);
-                    if (!exact_comm) {
-                        const std::size_t need =
-                            inflows.size() * (B + 1);
-                        if (bs.inflowPref.size() < need)
-                            bs.inflowPref.resize(need);
-                        if (paired) {
-                            const std::size_t mneed =
-                                inflows.size() * (B + 1);
-                            if (bs.missPref.size() < mneed)
-                                bs.missPref.resize(mneed);
-                        }
-                        bs.eqWindow.assign(inflows.size(), -1);
-                    }
-                }
-                const std::size_t extras_base = ordinal;
-                const std::size_t total_candidates =
-                    ordinal + cand_windows.extras.size();
-
-                // Shared per-band state: island-change prefix,
-                // link-class prefixes, and the band window equal to
-                // a source set (zero-cost transfer).
-                auto build_band_shared = [&](std::size_t b) {
-                    BandState &bs = band_states[b];
-                    if (bs.numWindows == 0)
-                        return;
-                    const auto &band = cand_windows.bands[b];
-                    const std::size_t B = band.size();
-                    // Bands ascend (generator contract), so first
-                    // position 0 and last B-1 force the identity
-                    // permutation — the common ContiguousRuns case,
-                    // where dropping the band[i] indirection lets
-                    // the fills below vectorize.
-                    const bool ident =
-                        band[0] == 0 &&
-                        band[B - 1] == static_cast<std::uint32_t>(
-                                           B - 1);
-                    const auto at = [&](std::size_t i) {
-                        return ident ? static_cast<std::uint32_t>(i)
-                                     : band[i];
-                    };
-
-                    // Island-change prefix: a window holds within
-                    // one island iff no adjacent pair inside it
-                    // changes islands (exact under any numbering).
-                    // Only the TP island penalty reads it, so it is
-                    // built only when cfg.tp > 1. The minimum load
-                    // along the band always is: it is the admissible
-                    // bound for the memory term (every window's
-                    // maximum is >= the band-wide minimum) and the
-                    // whole-band capacity skip.
-                    if (cfg.tp > 1) {
-                        bs.chgPref[0] = 0;
-                        for (std::size_t i = 1; i < B; ++i)
-                            bs.chgPref[i] =
-                                bs.chgPref[i - 1] +
-                                (pos_island[at(i)] !=
-                                         pos_island[at(i - 1)]
-                                     ? 1u
-                                     : 0u);
-                    }
-                    double mn;
-                    if (ident) {
-                        mn = cand_total[0];
-                        for (std::size_t i = 1; i < B; ++i)
-                            mn = std::min(mn, cand_total[i]);
-                    } else {
-                        mn = cand_total[band[0]];
-                        for (std::size_t i = 1; i < B; ++i)
-                            mn = std::min(mn, cand_total[band[i]]);
-                    }
-                    bs.minTotal = mn;
-
-                    if (exact_comm)
-                        return;
-                    const std::size_t stride = B + 1;
-                    for (std::size_t k = 0; k < inflows.size(); ++k) {
-                        std::uint64_t *pref =
-                            bs.inflowPref.data() + k * stride;
-                        const InflowCtx &ctx = inflow_ctx[k];
-                        pref[0] = 0;
-                        if (ident) {
-                            for (std::size_t i = 0; i < B; ++i)
-                                pref[i + 1] =
-                                    pref[i] +
-                                    (std::uint64_t{1}
-                                     << (kClsFieldBits * ctx.cls[i]));
-                        } else {
-                            for (std::size_t i = 0; i < B; ++i)
-                                pref[i + 1] =
-                                    pref[i] +
-                                    (std::uint64_t{1}
-                                     << (kClsFieldBits *
-                                         ctx.cls[band[i]]));
-                        }
-                        if (paired) {
-                            // Island-miss prefix: positions whose
-                            // island holds no source device (the
-                            // pairing-aware surcharge counts them).
-                            std::uint32_t *mpref =
-                                bs.missPref.data() + k * stride;
-                            mpref[0] = 0;
-                            for (std::size_t i = 0; i < B; ++i)
-                                mpref[i + 1] =
-                                    mpref[i] +
-                                    (ctx.srcCountByIsland
-                                             [pos_island[at(i)]] == 0
-                                         ? 1u
-                                         : 0u);
-                        }
-
-                        const DeviceSet &src = *inflows[k].second;
-                        if (src.size() == n) {
-                            // Devices ascend along a band, so
-                            // binary-search the band for the
-                            // source's first device.
-                            std::size_t lo = 0, hi = B;
-                            while (lo < hi) {
-                                const std::size_t mid = (lo + hi) / 2;
-                                if (free[band[mid]] < src.front())
-                                    lo = mid + 1;
-                                else
-                                    hi = mid;
-                            }
-                            if (lo + n <= B) {
-                                bool equal = true;
-                                for (std::uint32_t i = 0; i < n; ++i) {
-                                    if (free[band[lo + i]] != src[i]) {
-                                        equal = false;
-                                        break;
-                                    }
-                                }
-                                if (equal)
-                                    bs.eqWindow[k] = static_cast<
-                                        std::ptrdiff_t>(lo);
-                            }
-                        }
-                    }
-                };
-                // Resident band indices of one row along one band:
-                // intersect the band (ascending positions, per the
-                // generator contract) with the row's holder-position
-                // list. O(holders · log B) instead of O(B).
-                auto build_band_row = [&](std::size_t b,
-                                          std::size_t row) {
-                    BandState &bs = band_states[b];
-                    if (bs.numWindows == 0)
-                        return;
-                    const auto &band = cand_windows.bands[b];
-                    std::vector<std::uint32_t> &out = bs.resIdx[row];
-                    out.clear();
-                    for (std::uint32_t p : row_pos[row]) {
-                        const auto it = std::lower_bound(
-                            band.begin(), band.end(), p);
-                        if (it != band.end() && *it == p)
-                            out.push_back(static_cast<std::uint32_t>(
-                                it - band.begin()));
-                    }
-                };
-                const std::size_t units_per_band = 1 + rows;
-                const std::size_t num_units =
-                    num_bands * units_per_band;
-                auto build_unit = [&](std::size_t u) {
-                    const std::size_t b = u / units_per_band;
-                    const std::size_t sub = u % units_per_band;
-                    if (sub == 0)
-                        build_band_shared(b);
-                    else
-                        build_band_row(b, sub - 1);
-                };
-                const std::size_t band_work =
-                    band_positions *
-                    (2 + kNumLinkClasses * inflows.size());
-                maybeParallelFor(pool_,
-                                 band_work >= kMinParallelWork, 0,
-                                 num_units, 1, build_unit);
-
-                // ---- Phase C: the window sweep, a reduction over
-                // the candidate ordinals. consider() mirrors the
-                // historical replace-on-strictly-better scan (see
-                // struct Candidate), and publishes improved
-                // primaries into the shared pruning bound.
-                prune_bound.store(
-                    std::numeric_limits<double>::infinity(),
-                    std::memory_order_relaxed);
-                auto consider = [&](Candidate &best, double max_total,
-                                    double comm, std::size_t ord,
-                                    std::int32_t band,
-                                    std::size_t start) {
-                    const double peak_frac =
-                        max_total / topo_.device().memoryBytes;
-                    const double mem_score =
-                        options_.memoryWeight * peak_frac;
-                    double primary, secondary;
-                    if (memory_first) {
-                        primary = peak_frac;
-                        secondary = comm;
-                    } else {
-                        primary = comm + mem_score;
-                        secondary = peak_frac;
-                    }
-                    if (primary < best.primary ||
-                        (primary == best.primary &&
-                         (secondary < best.secondary ||
-                          (secondary == best.secondary &&
-                           ord < best.ordinal)))) {
-                        best.primary = primary;
-                        best.secondary = secondary;
-                        best.comm = comm;
-                        best.ordinal = ord;
-                        best.band = band;
-                        best.start = start;
-                        if (prune) {
-                            double cur = prune_bound.load(
-                                std::memory_order_relaxed);
-                            while (primary < cur &&
-                                   !prune_bound
-                                        .compare_exchange_weak(
-                                            cur, primary,
-                                            std::memory_order_relaxed))
-                                ;
-                        }
-                    }
-                };
-
-                // Score band windows with start in [w_lo, w_hi). The
-                // memory extremum uses a monotonic deque (sliding-
-                // window maximum over the per-device candidate
-                // totals along the band); a chunk warms its own
-                // deque over the n-1 positions before its first
-                // window, so the maximum — a selection, not an
-                // accumulation — is bit-identical to the full scan.
-                //
-                // Before scoring, the chunk may be pruned: the lower
-                // bound below is exact (each term <= its counterpart
-                // in every window's score, accumulated in the same
-                // structural order, so rounded addition keeps the
-                // bound <= every primary), and a chunk is skipped
-                // only when the bound is *strictly* above an
-                // already-scored primary — such a chunk cannot
-                // contain the winner even via the (secondary,
-                // ordinal) tie-break, which only arbitrates equal
-                // primaries. See placement.h.
-                auto score_band_range =
-                    [&](std::size_t b, std::size_t w_lo,
-                        std::size_t w_hi, Candidate &best,
-                        DeviceSet &win_scratch,
-                        std::vector<std::size_t> &dq,
-                        std::vector<std::size_t> &row_ptr,
-                        std::vector<char> &row_nonres) {
-                        const auto &band = cand_windows.bands[b];
-                        const BandState &bs = band_states[b];
-                        const std::size_t B = band.size();
-                        const std::size_t stride = B + 1;
-
-                        if (prune && bs.minTotal > capacity)
-                            return; // every window fails capacity
-
-                        if (prune) {
-                            // Chunk windows cover band positions
-                            // [w_lo, w_hi + n - 1).
-                            const std::size_t r_end = w_hi + n - 1;
-                            double lb = 0;
-                            if (memory_first) {
-                                lb = bs.minTotal /
-                                     topo_.device().memoryBytes;
-                            } else {
-                                if (!exact_comm) {
-                                    for (std::size_t k = 0;
-                                         k < inflows.size(); ++k) {
-                                        if (inflows[k].first <= 0)
-                                            continue;
-                                        const std::ptrdiff_t eq =
-                                            bs.eqWindow[k];
-                                        if (eq >= static_cast<
-                                                      std::ptrdiff_t>(
-                                                      w_lo) &&
-                                            eq < static_cast<
-                                                     std::ptrdiff_t>(
-                                                     w_hi))
-                                            continue; // one pays 0
-                                        // Cheapest class present
-                                        // anywhere in the range: a
-                                        // window's class is present
-                                        // in it, hence in the range,
-                                        // hence covered by this min
-                                        // (classes can invert the
-                                        // bandwidth order via
-                                        // latency, so min over
-                                        // values, not first by
-                                        // rank).
-                                        const std::uint64_t *pref =
-                                            bs.inflowPref.data() +
-                                            k * stride;
-                                        const std::uint64_t diff =
-                                            pref[r_end] - pref[w_lo];
-                                        double t = std::numeric_limits<
-                                            double>::infinity();
-                                        for (int c = 0;
-                                             c < kNumLinkClasses;
-                                             ++c) {
-                                            if ((diff >>
-                                                 (kClsFieldBits *
-                                                  static_cast<
-                                                      unsigned>(c))) &
-                                                kClsFieldMask)
-                                                t = std::min(
-                                                    t,
-                                                    inflow_ctx[k]
-                                                        .flowByClass
-                                                            [c]);
-                                        }
-                                        lb += t;
-                                    }
-                                }
-                                // Rows with no resident position in
-                                // the whole range are non-resident
-                                // in every window; their bytes are a
-                                // floor on the affinity term.
-                                double nrb = 0;
-                                if (rows > 0) {
-                                    row_nonres.resize(rows);
-                                    for (std::size_t r = 0; r < rows;
-                                         ++r) {
-                                        const auto &idx =
-                                            bs.resIdx[r];
-                                        const auto it =
-                                            std::lower_bound(
-                                                idx.begin(),
-                                                idx.end(),
-                                                static_cast<
-                                                    std::uint32_t>(
-                                                    w_lo));
-                                        row_nonres[r] =
-                                            (it == idx.end() ||
-                                             *it >= r_end)
-                                                ? 1
-                                                : 0;
-                                    }
-                                    for (std::size_t s = 0;
-                                         s < sig.size(); ++s) {
-                                        const std::int32_t row =
-                                            sig_row[s];
-                                        if (row >= 0 &&
-                                            row_nonres[static_cast<
-                                                std::size_t>(row)])
-                                            nrb += sig[s].bytes;
-                                    }
-                                }
-                                lb += options_.paramAffinityWeight *
-                                      2.0 * nrb /
-                                      topo_.config()
-                                          .interIslandCollective
-                                          .bandwidth;
-                                if (cfg.tp > 1)
-                                    lb += std::min(0.0,
-                                                   island_penalty);
-                                lb += options_.memoryWeight *
-                                      (bs.minTotal /
-                                       topo_.device().memoryBytes);
-                            }
-                            if (lb > prune_bound.load(
-                                         std::memory_order_relaxed))
-                                return;
-                        }
-
-                        // Per-row sweep pointers: first resident
-                        // band index >= w_lo; advanced as the window
-                        // slides (amortized O(1) per window).
-                        row_ptr.resize(rows);
-                        row_nonres.resize(rows);
-                        for (std::size_t r = 0; r < rows; ++r) {
-                            const auto &idx = bs.resIdx[r];
-                            row_ptr[r] = static_cast<std::size_t>(
-                                std::lower_bound(
-                                    idx.begin(), idx.end(),
-                                    static_cast<std::uint32_t>(
-                                        w_lo)) -
-                                idx.begin());
-                        }
-
-                        dq.clear();
-                        std::size_t head = 0;
-                        const std::size_t i_end = w_hi + n - 1;
-                        for (std::size_t i = w_lo; i < i_end; ++i) {
-                            while (dq.size() > head &&
-                                   cand_total[band[dq.back()]] <=
-                                       cand_total[band[i]])
-                                dq.pop_back();
-                            dq.push_back(i);
-                            if (i + 1 < w_lo + n)
-                                continue; // window not yet full
-                            const std::size_t w = i + 1 - n;
-                            if (dq[head] < w)
-                                ++head;
-                            const double max_total =
-                                cand_total[band[dq[head]]];
-
-                            // Memory feasibility. Division by a
-                            // positive constant is monotone, so
-                            // dividing the window maximum equals the
-                            // former per-device quotient maximum.
-                            if (max_total > capacity)
-                                continue;
-
-                            // Inter-wave communication, accumulated
-                            // in the same source order as always.
-                            double comm = 0;
-                            if (exact_comm && !inflows.empty()) {
-                                // Exact fallback (see link_class
-                                // comment).
-                                win_scratch.resize(n);
-                                for (std::uint32_t j = 0; j < n; ++j)
-                                    win_scratch[j] =
-                                        free[band[w + j]];
-                                for (const auto &[bytes, src] :
-                                     inflows)
-                                    comm += flow_price(
-                                        bytes, *src, win_scratch);
-                            } else {
-                                for (std::size_t k = 0;
-                                     k < inflows.size(); ++k) {
-                                    if (static_cast<std::ptrdiff_t>(
-                                            w) == bs.eqWindow[k])
-                                        continue; // data resident
-                                    if (inflows[k].first <= 0)
-                                        continue;
-                                    const std::uint64_t *pref =
-                                        bs.inflowPref.data() +
-                                        k * stride;
-                                    const std::uint64_t diff =
-                                        pref[w + n] - pref[w];
-                                    // Fastest link class present in
-                                    // the window (classes partition
-                                    // the devices, so the probe
-                                    // always finds one).
-                                    int cls = class_by_bw
-                                        [kNumLinkClasses - 1];
-                                    for (int r = 0;
-                                         r < kNumLinkClasses; ++r) {
-                                        const int c = class_by_bw[r];
-                                        if ((diff >>
-                                             (kClsFieldBits *
-                                              static_cast<unsigned>(
-                                                  c))) &
-                                            kClsFieldMask) {
-                                            cls = c;
-                                            break;
-                                        }
-                                    }
-                                    const double t =
-                                        inflow_ctx[k].flowByClass[cls];
-                                    if (paired) {
-                                        // Pairing-aware surcharge:
-                                        // the flow pays its cost
-                                        // again for the fraction of
-                                        // window members in islands
-                                        // holding no source (see
-                                        // pairedFlowTime).
-                                        const std::uint32_t *mpref =
-                                            bs.missPref.data() +
-                                            k * stride;
-                                        const std::uint32_t miss =
-                                            mpref[w + n] - mpref[w];
-                                        comm +=
-                                            t *
-                                            (1.0 +
-                                             static_cast<double>(
-                                                 miss) /
-                                                 static_cast<double>(
-                                                     n));
-                                        continue;
-                                    }
-                                    comm += t;
-                                }
-                            }
-
-                            // Parameter affinity (§3.5): reward
-                            // windows whose devices already store
-                            // this slice's parameter sets; placing
-                            // elsewhere would grow the corresponding
-                            // gradient-sync groups by roughly one
-                            // ring pass of the non-resident bytes.
-                            // The bytes accumulate in sig order (the
-                            // historical FP order); the per-row
-                            // flags come from the sliding pointers
-                            // into the sparse resident-index lists.
-                            double non_resident_bytes = 0;
-                            if (rows > 0) {
-                                for (std::size_t r = 0; r < rows;
-                                     ++r) {
-                                    const auto &idx = bs.resIdx[r];
-                                    std::size_t &ptr = row_ptr[r];
-                                    while (ptr < idx.size() &&
-                                           idx[ptr] < w)
-                                        ++ptr;
-                                    row_nonres[r] =
-                                        (ptr >= idx.size() ||
-                                         idx[ptr] >= w + n)
-                                            ? 1
-                                            : 0;
-                                }
-                                for (std::size_t s = 0;
-                                     s < sig.size(); ++s) {
-                                    const std::int32_t row =
-                                        sig_row[s];
-                                    if (row >= 0 &&
-                                        row_nonres[static_cast<
-                                            std::size_t>(row)])
-                                        non_resident_bytes +=
-                                            sig[s].bytes;
-                                }
-                            }
-                            comm += options_.paramAffinityWeight *
-                                    2.0 * non_resident_bytes /
-                                    topo_.config()
-                                        .interIslandCollective
-                                        .bandwidth;
-
-                            if (cfg.tp > 1 &&
-                                bs.chgPref[w + n - 1] !=
-                                    bs.chgPref[w])
-                                comm += island_penalty;
-
-                            consider(best, max_total, comm,
-                                     bs.ordinalBase + w,
-                                     static_cast<std::int32_t>(b), w);
-                        }
-                    };
-
-                // Score one explicit window (cross-island unions
-                // etc.).
-                auto score_extra = [&](std::size_t ei, Candidate &best,
-                                       DeviceSet &win_scratch,
-                                       std::vector<char> &row_nonres) {
-                    const auto &win_pos = cand_windows.extras[ei];
-                    panicIf(win_pos.size() != n,
-                            "tryPlace: generator emitted a window of "
-                            "the wrong size");
-                    double max_total = 0;
-                    for (std::uint32_t p : win_pos)
-                        max_total =
-                            std::max(max_total, cand_total[p]);
-                    if (max_total > capacity)
-                        return;
-
-                    double comm = 0;
-                    if (exact_comm && !inflows.empty()) {
-                        win_scratch.resize(n);
-                        for (std::uint32_t j = 0; j < n; ++j)
-                            win_scratch[j] = free[win_pos[j]];
-                        for (const auto &[bytes, src] : inflows)
-                            comm += flow_price(bytes, *src,
-                                               win_scratch);
-                    } else {
-                        for (std::size_t k = 0; k < inflows.size();
-                             ++k) {
-                            const InflowCtx &ctx = inflow_ctx[k];
-                            const DeviceSet &src = *inflows[k].second;
-                            if (src.size() == n) {
-                                bool equal = true;
-                                for (std::uint32_t j = 0; j < n;
-                                     ++j) {
-                                    if (free[win_pos[j]] != src[j]) {
-                                        equal = false;
-                                        break;
-                                    }
-                                }
-                                if (equal)
-                                    continue; // data already resident
-                            }
-                            if (inflows[k].first <= 0)
-                                continue;
-                            int best_rank = kNumLinkClasses - 1;
-                            for (std::uint32_t p : win_pos) {
-                                const int r =
-                                    rank_of_class[ctx.cls[p]];
-                                if (r < best_rank)
-                                    best_rank = r;
-                                if (best_rank == 0)
-                                    break;
-                            }
-                            const double t =
-                                ctx.flowByClass[class_by_bw[best_rank]];
-                            if (paired) {
-                                // Pairing-aware surcharge over the
-                                // window's island-miss fraction (see
-                                // pairedFlowTime).
-                                std::uint32_t miss = 0;
-                                for (std::uint32_t p : win_pos)
-                                    if (ctx.srcCountByIsland
-                                            [pos_island[p]] == 0)
-                                        ++miss;
-                                comm +=
-                                    t * (1.0 +
-                                         static_cast<double>(miss) /
-                                             static_cast<double>(n));
-                                continue;
-                            }
-                            comm += t;
-                        }
-                    }
-
-                    double non_resident_bytes = 0;
-                    if (rows > 0) {
-                        row_nonres.resize(rows);
-                        for (std::size_t r = 0; r < rows; ++r) {
-                            const auto &rp = row_pos[r];
-                            bool resident = false;
-                            for (std::uint32_t p : win_pos) {
-                                if (std::binary_search(rp.begin(),
-                                                       rp.end(), p)) {
-                                    resident = true;
-                                    break;
-                                }
-                            }
-                            row_nonres[r] = resident ? 0 : 1;
-                        }
-                        for (std::size_t s = 0; s < sig.size(); ++s) {
-                            const std::int32_t row = sig_row[s];
-                            if (row >= 0 &&
-                                row_nonres[static_cast<std::size_t>(
-                                    row)])
-                                non_resident_bytes += sig[s].bytes;
-                        }
-                    }
-                    comm += options_.paramAffinityWeight * 2.0 *
-                            non_resident_bytes /
-                            topo_.config()
-                                .interIslandCollective.bandwidth;
-
-                    if (cfg.tp > 1) {
-                        const std::uint32_t first =
-                            pos_island[win_pos.front()];
-                        bool spans = false;
-                        for (std::uint32_t p : win_pos) {
-                            if (pos_island[p] != first) {
-                                spans = true;
-                                break;
-                            }
-                        }
-                        if (spans)
-                            comm += island_penalty;
-                    }
-
-                    consider(best, max_total, comm, extras_base + ei,
-                             -1, ei);
-                };
-
-                // Chunk the candidate space into sweep tasks. Chunk
-                // size only balances lanes and sets the pruning
-                // granularity; any chunking yields the same winner
-                // (the ordinal tie-break is global, and pruning is
-                // winner-preserving per chunk). The serial sweep is
-                // chunked too — that is what gives pruning its
-                // skippable units — with a floor of 4n so the
-                // per-chunk deque warm-up (n - 1 positions) stays
-                // under a quarter of the chunk.
-                const std::size_t sweep_work =
-                    total_candidates *
-                    (sig.size() + inflows.size() + 4);
-                const bool sweep_parallel =
-                    use_pool && sweep_work >= kMinParallelWork &&
-                    total_candidates > 1;
-                const std::size_t chunk_floor = std::max<std::size_t>(
-                    kMinSweepChunk, 4 * static_cast<std::size_t>(n));
-                const std::size_t chunk =
-                    sweep_parallel
-                        ? std::max(chunk_floor,
-                                   total_candidates /
-                                       (static_cast<std::size_t>(
-                                            pool_->threads()) *
-                                        4))
-                        : chunk_floor;
-                sweep_tasks.clear();
-                for (std::size_t b = 0; b < num_bands; ++b) {
-                    const std::size_t W = band_states[b].numWindows;
-                    for (std::size_t lo = 0; lo < W; lo += chunk)
-                        sweep_tasks.push_back(
-                            {static_cast<std::int32_t>(b), lo,
-                             std::min(lo + chunk, W)});
-                }
-                for (std::size_t lo = 0;
-                     lo < cand_windows.extras.size(); lo += chunk)
-                    sweep_tasks.push_back(
-                        {-1, lo,
-                         std::min(lo + chunk,
-                                  cand_windows.extras.size())});
-
-                auto run_task = [&](const SweepTask &t,
-                                    Candidate &best,
-                                    DeviceSet &win_scratch,
-                                    std::vector<std::size_t> &dq,
-                                    std::vector<std::size_t> &row_ptr,
-                                    std::vector<char> &row_nonres) {
-                    if (t.band >= 0)
-                        score_band_range(
-                            static_cast<std::size_t>(t.band), t.lo,
-                            t.hi, best, win_scratch, dq, row_ptr,
-                            row_nonres);
-                    else
-                        for (std::size_t ei = t.lo; ei < t.hi; ++ei)
-                            score_extra(ei, best, win_scratch,
-                                        row_nonres);
-                };
-
-                Candidate best;
-                if (sweep_parallel && sweep_tasks.size() > 1) {
-                    best = pool_->parallelReduce<Candidate>(
-                        0, sweep_tasks.size(), 1,
-                        [&](Candidate &acc, std::size_t lo,
-                            std::size_t hi) {
-                            DeviceSet win_scratch;
-                            std::vector<std::size_t> dq;
-                            std::vector<std::size_t> row_ptr;
-                            std::vector<char> row_nonres;
-                            for (std::size_t t = lo; t < hi; ++t)
-                                run_task(sweep_tasks[t], acc,
-                                         win_scratch, dq, row_ptr,
-                                         row_nonres);
-                        },
-                        [](Candidate &out, const Candidate &c) {
-                            if (betterThan(c, out))
-                                out = c;
-                        });
-                } else {
-                    for (const SweepTask &t : sweep_tasks)
-                        run_task(t, best, win_buf, deque_scratch,
-                                 rowptr_scratch, rownonres_scratch);
-                }
-
+                pass.positionPass();
+                pass.bandPrefixes();
+                const Candidate best = pass.windowSweep();
                 if (!best.found()) {
                     if (fail_wave != nullptr)
                         *fail_wave = wi;
                     return false; // nothing fits: trigger fallback
                 }
-                best_comm = best.comm;
-                best_win.resize(n);
-                if (best.band >= 0) {
-                    const auto &band =
-                        cand_windows.bands[static_cast<std::size_t>(
-                            best.band)];
-                    for (std::uint32_t j = 0; j < n; ++j)
-                        best_win[j] = free[band[best.start + j]];
-                } else {
-                    const auto &win_pos =
-                        cand_windows.extras[best.start];
-                    for (std::uint32_t j = 0; j < n; ++j)
-                        best_win[j] = free[win_pos[j]];
-                }
+                comm = best.comm;
+                pass.materialise(pass.windowPositions(best), win);
             }
-
-            // Reverse-index upkeep, serially before the commit
-            // mutates any device: a key gains exactly the window
-            // devices that do not yet hold it (probed against the
-            // still-pre-commit flat mirror). uniq_keys is
-            // deduplicated, so no device is appended twice for one
-            // key, keeping holder lists exact.
-            for (std::int64_t key : uniq_keys) {
-                std::vector<DeviceId> *hv = nullptr;
-                for (DeviceId d : best_win) {
-                    if (state.findFlat(d, key) != nullptr)
-                        continue;
-                    if (hv == nullptr)
-                        hv = &state.holders[key];
-                    hv->push_back(d);
-                }
-            }
-
-            // Commit the chosen window. Devices are committed
-            // independently (each lane touches only its own device's
-            // map, flat mirror, and dirty bit), so large entries
-            // parallelize; order is irrelevant to the resulting
-            // state.
-            auto commit_device = [&](std::size_t j) {
-                const DeviceId d = best_win[j];
-                state.activations[d] += act_share;
-                for (const auto &[key, share] : commit_keys) {
-                    auto [it, inserted] =
-                        state.params[d].emplace(key, share);
-                    if (!inserted && share > it->second)
-                        it->second = share;
-                }
-                state.mergeFlat(d, uniq_keys, uniq_vals);
-                state.total_dirty[d] = 1;
-            };
-            maybeParallelFor(pool_,
-                             best_win.size() * (sig.size() + 1) >=
-                                 kMinParallelWork,
-                             0, best_win.size(), 8, commit_device);
-
-            // Attribute the committed flows to intra- vs
-            // inter-island fabric, shard by shard: the flow's bytes
-            // land sharded across the window, and a window device
-            // whose island holds no source device receives its shard
-            // over the inter-island fabric. Finer-grained than
-            // flowTime's best-pair pricing, which cannot tell an
-            // island-aligned window from one that merely touches the
-            // source's island. Deliberately priced with the legacy
-            // flowTime even under pairing-aware scoring, so
-            // interIslandCommSeconds stays one metric comparable
-            // across pricing modes (the acceptance comparison in
-            // planner_equivalence_test depends on this).
-            double entry_inter = 0;
-            for (const auto &[bytes, src] : inflows) {
-                const double t = coll.flowTime(bytes, *src, best_win);
-                if (t <= 0)
-                    continue;
-                std::size_t miss = 0;
-                topo_.bestLinkBetween(*src, best_win, &miss);
-                entry_inter += t * (static_cast<double>(miss) /
-                                    static_cast<double>(best_win.size()));
-            }
-            if (cfg.tp > 1 && !topo_.withinOneIsland(best_win))
-                entry_inter += island_penalty;
-            result.interIslandCommSeconds += entry_inter;
-
-            if (log != nullptr)
-                log->push_back({static_cast<std::uint32_t>(wi),
-                                static_cast<std::uint32_t>(idx),
-                                best_comm, entry_inter});
-
-            e.devices = best_win;
-            state.lastSlice[e.metaOp] = std::move(best_win);
-            result.estimatedCommSeconds += best_comm;
-            if (options_.strategy != PlacementStrategy::Sequential) {
-                // Remove the committed devices from the free list
-                // (single compaction pass; general windows need not
-                // be contiguous runs of it).
-                const DeviceSet &win = state.lastSlice[e.metaOp];
-                std::size_t out = 0, take = 0;
-                for (std::size_t pos = 0; pos < free.size(); ++pos) {
-                    if (take < win.size() && free[pos] == win[take]) {
-                        ++take;
-                        continue;
-                    }
-                    free[out++] = free[pos];
-                }
-                free.resize(out);
-            }
+            pass.commit(wi, idx, comm, std::move(win));
         }
     }
 
-    result.peakBytes.assign(num_devices, 0.0);
-    for (std::uint32_t d = 0; d < num_devices; ++d)
-        result.peakBytes[d] = state.deviceTotal(d);
+    result.peakBytes.assign(plan.numDevices, 0.0);
+    for (std::uint32_t d = 0; d < plan.numDevices; ++d)
+        result.peakBytes[d] = pass.state.deviceTotal(d);
     return true;
 }
 

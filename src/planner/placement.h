@@ -77,6 +77,27 @@
  * less, never differently, so pruning is also determinism-neutral
  * under concurrency.
  *
+ * **Stages.** One pass (tryPlace) runs these named stages of its
+ * private Pass state, per wave and entry:
+ *  1. prefix replay (replayPrefix): a logged prefix is recommitted
+ *     through the same device commit as a scored entry;
+ *  2. entry order (entryOrder): precomputed sort keys per wave;
+ *  3. entry signature (signEntry, scoringContext): the slice's
+ *     parameter signature, distinct keys and commit working set,
+ *     inflows, island penalty and residency rows;
+ *  4. position pass (positionPass, phase A): the generated windows,
+ *     checked, and per free position the would-be load, island and
+ *     link class per inflow;
+ *  5. band prefixes (bandPrefixes, phase B);
+ *  6. window sweep (windowSweep, phase C): pruning bound, band
+ *     windows, extras, and the chunked, possibly parallel reduction;
+ *  7. commit (commit): reverse index, device commit, inter-island
+ *     attribution, commit log, free-list compaction.
+ * Every scoring term has one helper (affinity, exact-oracle window
+ * pricing, class presence, paired surcharge) shared by the bands,
+ * the extras, the pruning bound and the Sequential strategy, which
+ * replaces stages 4-6 with placeSequential.
+ *
  * A Sequential strategy (each entry takes the next consecutive
  * device ids, no topology awareness — by design independent of the
  * island structure and of any renumbering) is provided for the
@@ -119,7 +140,10 @@ struct PlacementOptions
 
     /**
      * Custom window generator (non-owning; must outlive placement).
-     * Overrides `windows` when set.
+     * Overrides `windows` when set. Its output is checked per entry:
+     * a position out of the free list's range, positions that do not
+     * strictly ascend, an extra of the wrong size or a band longer
+     * than 2^21 - 1 positions panics.
      */
     const WindowGenerator *generator = nullptr;
 
@@ -276,7 +300,8 @@ class DevicePlacement
           std::vector<PlacementCommit> *commit_log = nullptr) const;
 
   private:
-    struct Attempt;
+    /** One pass's state and its named stages (see the file comment). */
+    struct Pass;
 
     /** place()'s fallback cascade with the configured flow oracle. */
     std::optional<PlacementResult>
@@ -289,12 +314,12 @@ class DevicePlacement
     using CommitRecord = PlacementCommit;
 
     /**
-     * One placement pass. Waves before @p resume_wave are replayed
-     * from @p replay (state committed, no scoring); waves from
-     * @p resume_wave on are scored (memory-first when
-     * @p memory_first). On failure, the index of the first
-     * infeasible wave lands in @p fail_wave and committed records
-     * (all passes log into @p log when non-null) describe the
+     * One placement pass, running the Pass stages in order. Waves
+     * before @p resume_wave are replayed from @p replay (state
+     * committed, no scoring); waves from @p resume_wave on are scored
+     * (memory-first when @p memory_first). On failure, the index of
+     * the first infeasible wave lands in @p fail_wave and committed
+     * records (all passes log into @p log when non-null) describe the
      * feasible prefix.
      */
     bool tryPlace(const MetaGraph &graph, ExecutionPlan &plan,

@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <map>
 #include <memory>
 #include <optional>
@@ -38,6 +37,8 @@
 
 namespace spindle {
 namespace {
+
+using testutil::planDigest;
 
 constexpr double kMonotonicSlack = 1.10;
 constexpr double kEstimateLow = 0.6;
@@ -61,62 +62,6 @@ nodesOf(std::uint32_t gpus)
     cfg.numNodes = gpus / 8;
     cfg.gpusPerNode = 8;
     return cfg;
-}
-
-/** FNV-1a digest of everything a plan and its placement carry. */
-class Digest
-{
-  public:
-    void add(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h_ ^= (v >> (8 * i)) & 0xff;
-            h_ *= 0x100000001b3ull;
-        }
-    }
-    void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-    void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
-std::uint64_t
-planDigest(const PlannerOutput &out)
-{
-    Digest d;
-    const ExecutionPlan &plan = out.plan;
-    d.add(std::uint64_t{plan.numDevices});
-    d.add(plan.estimatedSpan);
-    d.add(plan.theoreticalOptimum);
-    for (const Wave &w : plan.waves) {
-        d.add(std::int64_t{w.index});
-        d.add(std::int64_t{w.level});
-        d.add(w.start);
-        d.add(w.duration);
-        for (const WaveEntry &e : w.entries) {
-            d.add(std::int64_t{e.metaOp});
-            d.add(std::uint64_t{e.n});
-            d.add(e.opBegin);
-            d.add(e.numOps);
-            d.add(e.duration);
-            for (DeviceId dev : e.devices)
-                d.add(std::uint64_t{dev});
-        }
-    }
-    for (const LevelAllocation &a : plan.allocations) {
-        d.add(a.continuous.cStar);
-        for (const MetaOpAllocation &p : a.plans)
-            for (const AslTuple &t : p.tuples) {
-                d.add(std::uint64_t{t.n});
-                d.add(t.l);
-            }
-    }
-    d.add(out.placement.estimatedCommSeconds);
-    for (double b : out.placement.peakBytes)
-        d.add(b);
-    return d.value();
 }
 
 /**

@@ -6,6 +6,8 @@
 #ifndef SPINDLE_TESTS_TEST_UTIL_H
 #define SPINDLE_TESTS_TEST_UTIL_H
 
+#include <bit>
+
 #include "spindle/spindle.h"
 
 namespace spindle::testutil {
@@ -112,6 +114,92 @@ stripedIslandConfig(std::uint32_t islands = 2, std::uint32_t size = 8)
         for (std::uint32_t j = 0; j < size; ++j)
             cfg.islands[k].devices.push_back(pi(k * size + j));
     return cfg;
+}
+
+/** Contiguous-id islands of the given (possibly mixed) sizes. */
+inline ClusterConfig
+heteroIslandConfig(const std::vector<std::uint32_t> &sizes)
+{
+    ClusterConfig cfg;
+    std::uint32_t next = 0;
+    for (std::uint32_t s : sizes) {
+        IslandSpec island;
+        for (std::uint32_t i = 0; i < s; ++i)
+            island.devices.push_back(next++);
+        cfg.islands.push_back(std::move(island));
+    }
+    return cfg;
+}
+
+/** FNV-1a digest of everything a plan and its placement carry. */
+class Digest
+{
+  public:
+    void add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ull;
+        }
+    }
+    void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+    void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/** Digest of the plan (waves, entries, devices, allocations) plus the
+ *  placement's estimatedCommSeconds and peakBytes. */
+inline std::uint64_t
+planDigest(const PlannerOutput &out)
+{
+    Digest d;
+    const ExecutionPlan &plan = out.plan;
+    d.add(std::uint64_t{plan.numDevices});
+    d.add(plan.estimatedSpan);
+    d.add(plan.theoreticalOptimum);
+    for (const Wave &w : plan.waves) {
+        d.add(std::int64_t{w.index});
+        d.add(std::int64_t{w.level});
+        d.add(w.start);
+        d.add(w.duration);
+        for (const WaveEntry &e : w.entries) {
+            d.add(std::int64_t{e.metaOp});
+            d.add(std::uint64_t{e.n});
+            d.add(e.opBegin);
+            d.add(e.numOps);
+            d.add(e.duration);
+            for (DeviceId dev : e.devices)
+                d.add(std::uint64_t{dev});
+        }
+    }
+    for (const LevelAllocation &a : plan.allocations) {
+        d.add(a.continuous.cStar);
+        for (const MetaOpAllocation &p : a.plans)
+            for (const AslTuple &t : p.tuples) {
+                d.add(std::uint64_t{t.n});
+                d.add(t.l);
+            }
+    }
+    d.add(out.placement.estimatedCommSeconds);
+    for (double b : out.placement.peakBytes)
+        d.add(b);
+    return d.value();
+}
+
+/** planDigest() extended with the rest of the placement result:
+ *  interIslandCommSeconds and the memory-fallback facts. */
+inline std::uint64_t
+placementDigest(const PlannerOutput &out)
+{
+    Digest d;
+    d.add(planDigest(out));
+    d.add(out.placement.interIslandCommSeconds);
+    d.add(std::uint64_t{out.placement.usedMemoryFallback});
+    d.add(std::uint64_t{out.placement.fallbackRestartWave});
+    return d.value();
 }
 
 /** One bare operator description for low-level hardware tests. */
