@@ -248,7 +248,7 @@ const WorkloadCase clip10_hetero{"CLIP-10-hetero",
 BENCHMARK_CAPTURE(planAtScale, CLIP_10Tasks, clip10)
     ->Args({1, 1})->Args({2, 1})->Args({4, 1})->Args({8, 1})
     ->Args({16, 1})->Args({32, 1})->Args({32, 2})->Args({32, 8})
-    ->Args({128, 1})->Args({256, 1})->Args({512, 1})
+    ->Args({128, 1})->Args({256, 1})->Args({512, 1})->Args({2048, 1})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(placementStress512)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(planAtScale, OFASys_7Tasks, ofa7)

@@ -18,6 +18,12 @@ bench/baseline_planner.json:
     (estimation / allocation / scheduling / placement seconds), so a
     regression confined to one phase cannot hide inside a healthy
     total at the largest scale;
+  * a record carrying "max_ratio_to" (the 16384-GPU CLIP-10 point)
+    must plan within "max_ratio" x the plan_seconds of the named
+    record *of the same run*: placement cost must follow the devices
+    a plan uses, not the cluster size. A ratio within one process
+    holds on any runner, so this gate is not hw_threads-gated; a
+    missing record on either side fails;
   * a baseline serial_tail_phase — the phase the record names as its
     wall-clock tail — may be either a numeric index (legacy) or a
     phase name like "placement" (current emitter); both forms are
@@ -179,11 +185,12 @@ def check_planner(current, baseline, factor):
         if cur is None:
             # Only gate points are mandatory; other scale points are
             # informational (a trimmed sweep should not fail CI).
-            if gate or phase_gate:
+            if gate or phase_gate or "max_ratio_to" in base:
                 failures.append(f"{name}: missing from current run")
             else:
                 print(f"warn  {name:<24} missing from current run")
             continue
+        failures += check_same_run_ratio(name, base, current)
         budget = base["plan_seconds"]
         actual = cur["plan_seconds"]
         ratio = actual / budget if budget > 0 else float("inf")
@@ -240,6 +247,30 @@ def check_planner(current, baseline, factor):
                     f"{factor:.1f}x budget {phase_budget:.6f}s"
                 )
     return failures
+
+
+def check_same_run_ratio(name, base, current):
+    """Gate plan_seconds of record @name against the record named by
+    base["max_ratio_to"] in the same run (see the planner mode)."""
+    ref_name = base.get("max_ratio_to")
+    if ref_name is None:
+        return []
+    ref = current.get(ref_name)
+    if ref is None:
+        return [f"{name}: ratio reference {ref_name} missing from current run"]
+    limit = base["max_ratio"]
+    ratio = current[name]["plan_seconds"] / ref["plan_seconds"]
+    status = "OK" if ratio <= limit else "FAIL"
+    print(
+        f"{status:>4}  {name:<24} plan / {ref_name} plan = {ratio:5.2f}x"
+        f"  limit={limit:4.2f}x  [same-run ratio]"
+    )
+    if ratio > limit:
+        return [
+            f"{name}: plan_seconds {ratio:.2f}x {ref_name}'s in the same "
+            f"run > {limit:.2f}x"
+        ]
+    return []
 
 
 MIN_HW_THREADS_FOR_SPEEDUP = 4

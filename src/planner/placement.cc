@@ -65,16 +65,30 @@ struct InflowCtx
 {
     double flowByClass[kNumLinkClasses] = {0, 0, 0};
     std::uint32_t srcSize = 0;
-    std::vector<std::uint8_t> cls;               ///< per free pos
-    std::vector<std::uint32_t> srcCountByIsland; ///< per island
+    std::vector<std::uint8_t> cls; ///< per free pos
+    /** Per island: source devices it holds. Sized to the cluster once
+     *  per pass and reset sparsely through srcIslands, so an entry
+     *  pays for its source set, not for the island count. */
+    std::vector<std::uint32_t> srcCountByIsland;
+    std::vector<std::uint32_t> srcIslands; ///< islands counted above
     /** Per free pos: device is in the source set. Marked from the
      *  (small) source set, so the position pass needs no per-device
      *  binary search. */
     std::vector<char> inSrc;
-    /** Class a device of this island resolves to, in / not in the
-     *  source set. A device's class depends only on (island, inSrc),
-     *  so the per-position work collapses to one table lookup. */
-    std::vector<std::uint8_t> clsIn, clsOut;
+    /**
+     * Class a device resolves to, by [in source set][its island's
+     * source count, capped at 2][source devices outside its island].
+     * A device's class depends only on those three facts, so the
+     * per-position work collapses to one table lookup.
+     */
+    std::uint8_t clsOf[2][3][2] = {};
+
+    std::uint8_t
+    classAt(bool in_src, std::uint32_t island) const
+    {
+        const std::uint32_t cnt = srcCountByIsland[island];
+        return clsOf[in_src][std::min<std::uint32_t>(cnt, 2)][srcSize > cnt];
+    }
 };
 
 /**
@@ -388,7 +402,28 @@ struct DevicePlacement::Pass
 
     DeviceState state;
     std::uint32_t seq_cursor = 0; ///< Sequential strategy cursor
-    DeviceSet free;               ///< current wave's free devices
+
+    // ---- Free list, kept as segments (see placement.h, "View").
+    /** Device id range [lo, hi) of each segment, ascending and tiling
+     *  the placeable devices: one segment per island when every island
+     *  is a contiguous id range, else one segment over all devices. */
+    std::vector<std::pair<DeviceId, DeviceId>> seg_range;
+    /** One past the last segment of segment s's class: the maximal
+     *  stretch of interchangeable islands holding s (s + 1 when s has
+     *  no interchangeable neighbour). */
+    std::vector<std::uint32_t> seg_class_end;
+    std::vector<std::uint32_t> seg_of_island; ///< per island
+    /** Per segment: some device of it was committed in this pass
+     *  (scored or replayed) — the segment is no longer pristine. */
+    std::vector<char> seg_touched;
+    std::vector<std::uint32_t> touched; ///< touched segments, ascending
+    /** Free devices of each touched segment in the current wave
+     *  (pristine segments are free whole and never materialised). */
+    std::vector<DeviceSet> seg_free;
+    std::size_t free_count = 0; ///< current wave's free devices
+    /** The entry's view of the free list: every free device outside
+     *  pristine runs, and each long pristine run cut to its ends. */
+    DeviceSet free;
 
     // ---- Entry signature (signEntry, scoringContext).
     ParallelConfig cfg;
@@ -482,6 +517,159 @@ struct DevicePlacement::Pass
             link_class[0].bandwidth == link_class[2].bandwidth ||
             link_class[1].bandwidth == link_class[2].bandwidth;
         exact_comm = tied_class_bandwidths || !topo.uniformLinks();
+        segmentFreeList();
+    }
+
+    /**
+     * Free-list segments and their classes, once per pass. Two
+     * neighbouring islands are interchangeable when they have the same
+     * size, consecutive indices, and the fabric has uniform links; the
+     * segments tile the device range, so their ids are then one
+     * contiguous range.
+     */
+    void
+    segmentFreeList()
+    {
+        const std::uint32_t num_isl = topo.numIslands();
+        const DeviceId dev_end = std::min(topo.numDevices(), num_devices);
+        std::vector<std::uint32_t> by_lo(num_isl);
+        std::iota(by_lo.begin(), by_lo.end(), 0u);
+        bool contiguous = true;
+        for (std::uint32_t i = 0; i < num_isl; ++i) {
+            const DeviceSet &devs = topo.islandDevices(i);
+            contiguous &= devs.back() - devs.front() + 1 == devs.size();
+        }
+        std::sort(by_lo.begin(), by_lo.end(),
+                  [&](std::uint32_t a, std::uint32_t b) {
+                      return topo.islandDevices(a).front() <
+                             topo.islandDevices(b).front();
+                  });
+        seg_of_island.assign(num_isl, 0);
+        std::vector<std::uint32_t> seg_island;
+        if (!contiguous) {
+            seg_range.push_back({0, dev_end});
+            seg_island.push_back(0);
+        } else {
+            for (std::uint32_t i : by_lo) {
+                const DeviceSet &devs = topo.islandDevices(i);
+                if (devs.front() >= dev_end)
+                    continue;
+                seg_of_island[i] =
+                    static_cast<std::uint32_t>(seg_range.size());
+                seg_range.push_back(
+                    {devs.front(), std::min(devs.back() + 1, dev_end)});
+                seg_island.push_back(i);
+            }
+        }
+        const auto num_segs = static_cast<std::uint32_t>(seg_range.size());
+        const auto whole = [&](std::uint32_t s) {
+            return contiguous &&
+                   segSize(s) == topo.islandSizeOf(seg_island[s]);
+        };
+        seg_class_end.assign(num_segs, 0);
+        for (std::uint32_t s = num_segs; s-- > 0;) {
+            const bool joins_next =
+                s + 1 < num_segs && topo.uniformLinks() && whole(s) &&
+                whole(s + 1) && segSize(s) == segSize(s + 1) &&
+                seg_island[s + 1] == seg_island[s] + 1;
+            seg_class_end[s] = joins_next ? seg_class_end[s + 1] : s + 1;
+        }
+        seg_touched.assign(num_segs, 0);
+        seg_free.resize(num_segs);
+    }
+
+    std::uint32_t
+    segSize(std::uint32_t s) const
+    {
+        return seg_range[s].second - seg_range[s].first;
+    }
+
+    std::uint32_t
+    segmentOf(DeviceId d) const
+    {
+        return seg_range.size() == 1 ? 0 : seg_of_island[topo.islandOf(d)];
+    }
+
+    /** Wave start: every device is free again. Only touched segments
+     *  hold an explicit list, so this costs what the pass touched. */
+    void
+    resetFreeList()
+    {
+        for (std::uint32_t s : touched)
+            fillSegment(s);
+        free_count = seg_range.back().second;
+    }
+
+    void
+    fillSegment(std::uint32_t s)
+    {
+        DeviceSet &list = seg_free[s];
+        list.resize(segSize(s));
+        std::iota(list.begin(), list.end(), seg_range[s].first);
+    }
+
+    /** Mark the segments of @p win touched (commit, scored or
+     *  replayed); a newly touched segment materialises its free list. */
+    void
+    touchSegments(const DeviceSet &win)
+    {
+        std::uint32_t last = ~0u;
+        for (DeviceId d : win) {
+            const std::uint32_t s = segmentOf(d);
+            if (s == last || seg_touched[s])
+                continue;
+            last = s;
+            seg_touched[s] = 1;
+            touched.insert(std::lower_bound(touched.begin(), touched.end(), s),
+                           s);
+            fillSegment(s);
+        }
+    }
+
+    /**
+     * View (see placement.h): the free list with every maximal run of
+     * more than 2K interchangeable pristine islands cut to its first K
+     * and last K islands, K = ceil(n / island size) + 1. Built from the
+     * touched segments' lists and the pristine gaps between them, so
+     * it costs the view's size plus the classes it crosses, not the
+     * cluster's.
+     */
+    void
+    buildView()
+    {
+        free.clear();
+        std::uint32_t next = 0;
+        for (std::uint32_t t : touched) {
+            appendPristine(next, t);
+            free.insert(free.end(), seg_free[t].begin(), seg_free[t].end());
+            next = t + 1;
+        }
+        appendPristine(next, static_cast<std::uint32_t>(seg_range.size()));
+    }
+
+    /** Append pristine segments [a, b) to the view, collapsing runs. */
+    void
+    appendPristine(std::uint32_t a, std::uint32_t b)
+    {
+        const auto append = [&](std::uint32_t first, std::uint32_t last) {
+            const DeviceId lo = seg_range[first].first;
+            const DeviceId hi = seg_range[last].second;
+            const std::size_t at = free.size();
+            free.resize(at + (hi - lo));
+            std::iota(free.begin() + static_cast<std::ptrdiff_t>(at),
+                      free.end(), lo);
+        };
+        while (a < b) {
+            const std::uint32_t e = std::min(seg_class_end[a], b);
+            const std::uint32_t k = (n + segSize(a) - 1) / segSize(a) + 1;
+            if (e - a > 2 * k) {
+                append(a, a + k - 1);
+                append(e - k, e - 1);
+            } else {
+                append(a, e - 1);
+            }
+            a = e;
+        }
     }
 
     /**
@@ -771,12 +959,11 @@ struct DevicePlacement::Pass
             pos_island[pos] = isl;
 
             if (!exact_comm) {
-                // Class tables are precomputed per island (see
+                // Class tables are precomputed per inflow (see
                 // buildInflowContexts): one lookup per inflow.
                 for (std::size_t k = 0; k < inflows.size(); ++k) {
                     InflowCtx &ctx = inflow_ctx[k];
-                    ctx.cls[pos] =
-                        ctx.inSrc[pos] ? ctx.clsIn[isl] : ctx.clsOut[isl];
+                    ctx.cls[pos] = ctx.classAt(ctx.inSrc[pos] != 0, isl);
                 }
             }
         };
@@ -867,21 +1054,28 @@ struct DevicePlacement::Pass
                 ctx.flowByClass[c] = bytes / streams / link_class[c].bandwidth +
                                      link_class[c].latency;
             ctx.srcSize = static_cast<std::uint32_t>(src.size());
-            ctx.srcCountByIsland.assign(num_isl, 0);
-            for (DeviceId s : src)
-                ++ctx.srcCountByIsland[topo.islandOf(s)];
+            if (ctx.srcCountByIsland.size() != num_isl)
+                ctx.srcCountByIsland.assign(num_isl, 0);
+            for (std::uint32_t isl : ctx.srcIslands)
+                ctx.srcCountByIsland[isl] = 0;
+            ctx.srcIslands.clear();
+            for (DeviceId s : src) {
+                const std::uint32_t isl = topo.islandOf(s);
+                if (ctx.srcCountByIsland[isl]++ == 0)
+                    ctx.srcIslands.push_back(isl);
+            }
             if (ctx.cls.size() < F)
                 ctx.cls.resize(F);
 
             // A device's class is the fastest one it has any pair in:
             // copy needs the device itself in src, intra another src
             // device in its island, inter a src device in a different
-            // island. That depends only on (island, in-src), so resolve
-            // it here per island — probing classes in bandwidth order, as
-            // the per-position loop used to — and mark the in-src
-            // positions from the source set.
-            ctx.clsIn.resize(num_isl);
-            ctx.clsOut.resize(num_isl);
+            // island. That depends only on whether the device is in src,
+            // its island's src count (0, 1 or more) and whether src
+            // reaches outside that island, so resolve the twelve cases
+            // here — probing classes in bandwidth order, as the
+            // per-position loop used to — and mark the in-src positions
+            // from the source set.
             auto pick = [&](const bool *avail) {
                 int cls = class_by_bw[kNumLinkClasses - 1];
                 for (int r = 0; r < kNumLinkClasses; ++r) {
@@ -892,15 +1086,14 @@ struct DevicePlacement::Pass
                 }
                 return static_cast<std::uint8_t>(cls);
             };
-            for (std::size_t isl = 0; isl < num_isl; ++isl) {
-                const std::uint32_t cnt = ctx.srcCountByIsland[isl];
-                const bool avail_in[kNumLinkClasses] = {true, cnt > 1,
-                                                        ctx.srcSize > cnt};
-                const bool avail_out[kNumLinkClasses] = {false, cnt > 0,
-                                                         ctx.srcSize > cnt};
-                ctx.clsIn[isl] = pick(avail_in);
-                ctx.clsOut[isl] = pick(avail_out);
-            }
+            for (int in = 0; in < 2; ++in)
+                for (std::uint32_t cnt = 0; cnt < 3; ++cnt)
+                    for (int outside = 0; outside < 2; ++outside) {
+                        const bool avail[kNumLinkClasses] = {
+                            in != 0, cnt > (in != 0 ? 1u : 0u),
+                            outside != 0};
+                        ctx.clsOf[in][cnt][outside] = pick(avail);
+                    }
             ctx.inSrc.assign(F, 0);
             for (DeviceId s : src) {
                 const auto fit = std::lower_bound(free.begin(), free.end(), s);
@@ -1506,6 +1699,8 @@ struct DevicePlacement::Pass
     void
     commitDevices(const DeviceSet &win)
     {
+        touchSegments(win);
+
         // Reverse-index upkeep, serially before the commit mutates any
         // device: a key gains exactly the window devices that do not yet
         // hold it (probed against the still-pre-commit flat mirror).
@@ -1581,18 +1776,26 @@ struct DevicePlacement::Pass
                             entry_inter});
 
         if (options.strategy != PlacementStrategy::Sequential) {
-            // Remove the committed devices from the free list (single
-            // compaction pass; general windows need not be contiguous
-            // runs of it).
-            std::size_t out = 0, take = 0;
-            for (std::size_t pos = 0; pos < free.size(); ++pos) {
-                if (take < win.size() && free[pos] == win[take]) {
-                    ++take;
-                    continue;
+            // Remove the committed devices from their segments' free
+            // lists (one compaction pass per segment the window touches;
+            // general windows need not be contiguous runs of a list).
+            // Segments ascend, so each one's devices are a run of win.
+            for (std::size_t i = 0; i < win.size();) {
+                const std::size_t first = i;
+                DeviceSet &list = seg_free[segmentOf(win[i])];
+                std::size_t out = 0;
+                for (DeviceId d : list) {
+                    if (i < win.size() && d == win[i]) {
+                        ++i;
+                        continue;
+                    }
+                    list[out++] = d;
                 }
-                free[out++] = free[pos];
+                list.resize(out);
+                panicIf(i == first, "tryPlace: committed device ", win[first],
+                        " is not free");
             }
-            free.resize(out);
+            free_count -= win.size();
         }
 
         WaveEntry &e = plan.waves[wi].entries[idx];
@@ -1720,12 +1923,10 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
 
     for (std::size_t wi = resume_wave; wi < plan.waves.size(); ++wi) {
         Wave &wave = plan.waves[wi];
-        pass.free = topo_.allDevices();
-        pass.free.resize(
-            std::min<std::size_t>(pass.free.size(), plan.numDevices));
+        pass.resetFreeList();
         for (std::size_t idx : pass.entryOrder(wave)) {
             const WaveEntry &e = wave.entries[idx];
-            panicIf(pass.free.size() < e.n,
+            panicIf(pass.free_count < e.n,
                     "tryPlace: scheduler exceeded wave capacity");
             pass.signEntry(e);
             pass.scoringContext(e);
@@ -1735,6 +1936,7 @@ DevicePlacement::tryPlace(const MetaGraph &graph, ExecutionPlan &plan,
             if (options_.strategy == PlacementStrategy::Sequential) {
                 comm = pass.placeSequential(win);
             } else {
+                pass.buildView();
                 pass.positionPass();
                 pass.bandPrefixes();
                 const Candidate best = pass.windowSweep();

@@ -26,9 +26,59 @@
  * emits, using incremental per-band state (link-class / residency /
  * island-change prefix counts and a sliding-window maximum over
  * per-device loads) so scoring stays O(1) per window after an
- * O(free-list) setup per entry. `ContiguousRuns` reproduces the
- * historical placer bit for bit (planner_equivalence_test);
- * `IslandAware` decouples window shape from device numbering.
+ * O(view) setup per entry (see "View" below). `ContiguousRuns`
+ * reproduces the historical placer bit for bit
+ * (planner_equivalence_test); `IslandAware` decouples window shape
+ * from device numbering.
+ *
+ * **View: untouched runs cut to their ends.** A wave of a large
+ * cluster uses few islands, so most of the free list is islands no
+ * entry of the pass has touched, and every one of their windows
+ * scores the same. Call an island *pristine* in a pass when none of
+ * its devices has been committed in that pass (scored or replayed).
+ * Two pristine islands are *interchangeable* when they have the same
+ * size, consecutive indices and contiguous device ids, and the fabric
+ * has uniform links (ClusterTopology::uniformLinks()). Per entry,
+ * placement builds a view of the free list: every position outside
+ * pristine runs, and of each maximal run of more than 2K
+ * interchangeable pristine islands only the first K and the last K,
+ * K = ceil(n / island size) + 1. The generator, the position pass,
+ * the band prefixes, the sweep (pruning and parallel chunks included)
+ * and materialise() all run on the view unchanged; commit compacts
+ * the real free list. Plans are byte-identical to the flat sweep's:
+ *  - every position in a pristine island has the same inputs: the
+ *    same candidate total (zero load plus the all-miss base), the
+ *    same link class per inflow (the island holds no source device,
+ *    since sources are committed devices), no residency and no
+ *    window equal to a source set. On a uniform fabric the exact flow
+ *    oracle depends on the classes spanned, so it agrees. An
+ *    all-pristine window's score bits therefore depend only on where
+ *    island boundaries fall inside it: its start offset modulo the
+ *    island size;
+ *  - every such window has a same-offset twin inside the run's first
+ *    K islands (an offset below s plus n positions fits in K
+ *    islands), and the twin has a lower ordinal. betterThan() breaks
+ *    equal (primary, secondary) by lower ordinal, so a dropped window
+ *    never wins the flat sweep;
+ *  - a view window that straddles a cut is all-pristine too, and its
+ *    cut falls on an island boundary, so the same twin beats it;
+ *  - windows that touch a run's ends are real, since K islands are
+ *    kept on each side and no window reaches past K - 1 of them;
+ *  - band minima, the pruning bound and sliding maxima see the same
+ *    values, as the kept islands hold every value a dropped one does;
+ *  - IslandAware: a dropped island's band, its unions and a greedy
+ *    catch-all starting on it each tie with the same candidate on a
+ *    kept island of its run, which the enumeration (island order for
+ *    bands and unions, lexicographic for catch-alls) emits earlier;
+ *    catch-alls from kept islands fill from at least K - 1 kept
+ *    islands of a run before reaching a dropped one, so they never do.
+ * So there is no tie-break difference to list. The free list is kept
+ * as segments (one per island when islands are contiguous id ranges,
+ * else one): a pristine segment is free whole and never materialised,
+ * so building the view costs its size plus the classes it crosses,
+ * and commit compacts only the window's segments. Where nothing
+ * collapses, the view is the whole free list and building it is one
+ * linear copy, in place of the flat list's per-entry compaction.
  *
  * **Incremental per-entry sweep (4096-GPU scaling).** The per-entry
  * setup itself is incremental across entries rather than a rescan:
@@ -85,18 +135,22 @@
  *  3. entry signature (signEntry, scoringContext): the slice's
  *     parameter signature, distinct keys and commit working set,
  *     inflows, island penalty and residency rows;
- *  4. position pass (positionPass, phase A): the generated windows,
- *     checked, and per free position the would-be load, island and
+ *  4. view (buildView): the free list with long pristine runs cut to
+ *     their ends (see "View" above);
+ *  5. position pass (positionPass, phase A): the generated windows,
+ *     checked, and per view position the would-be load, island and
  *     link class per inflow;
- *  5. band prefixes (bandPrefixes, phase B);
- *  6. window sweep (windowSweep, phase C): pruning bound, band
+ *  6. band prefixes (bandPrefixes, phase B);
+ *  7. window sweep (windowSweep, phase C): pruning bound, band
  *     windows, extras, and the chunked, possibly parallel reduction;
- *  7. commit (commit): reverse index, device commit, inter-island
- *     attribution, commit log, free-list compaction.
+ *  8. commit (commit): reverse index, device commit, inter-island
+ *     attribution, commit log, compaction of the window's segments.
  * Every scoring term has one helper (affinity, exact-oracle window
  * pricing, class presence, paired surcharge) shared by the bands,
  * the extras, the pruning bound and the Sequential strategy, which
- * replaces stages 4-6 with placeSequential.
+ * replaces stages 4-7 with placeSequential. Whole-pass O(devices)
+ * setup (the device state, the per-device epoch tables, peakBytes)
+ * runs once per pass, never per entry or per wave.
  *
  * A Sequential strategy (each entry takes the next consecutive
  * device ids, no topology awareness — by design independent of the

@@ -50,18 +50,26 @@ IslandAwareGenerator::generate(const WindowGenContext &ctx,
     // within each island because the free list ascends. Built in the
     // caller-owned scratch so repeated sweeps reuse capacity instead
     // of allocating one list set per entry. (scratch may be larger
-    // than num_isl from an earlier call; only [0, num_isl) is live.)
+    // than num_isl + 1 from an earlier call; only [0, num_isl] is
+    // live.) scratch[num_isl] lists the islands holding a free
+    // position, ascending: the stages below walk only those, so an
+    // entry costs the islands its free list reaches, not the cluster.
     const std::size_t num_isl = ctx.topo.numIslands();
-    out.prepareScratch(num_isl);
+    out.prepareScratch(num_isl + 1);
     std::vector<std::vector<std::uint32_t>> &isl = out.scratch;
-    for (std::size_t pos = 0; pos < F; ++pos)
-        isl[ctx.topo.islandOf(ctx.free[pos])].push_back(
-            static_cast<std::uint32_t>(pos));
+    std::vector<std::uint32_t> &present = out.scratch[num_isl];
+    for (std::size_t pos = 0; pos < F; ++pos) {
+        const std::uint32_t k = ctx.topo.islandOf(ctx.free[pos]);
+        if (isl[k].empty())
+            present.push_back(k);
+        isl[k].push_back(static_cast<std::uint32_t>(pos));
+    }
+    std::sort(present.begin(), present.end());
 
     // 1. Per-island bands: sliding runs that never leave an island,
     //    whatever the device numbering looks like.
     std::size_t largest = 0;
-    for (std::size_t k = 0; k < num_isl; ++k) {
+    for (std::uint32_t k : present) {
         largest = std::max(largest, isl[k].size());
         if (isl[k].size() >= n)
             out.appendBand() = isl[k];
@@ -73,13 +81,13 @@ IslandAwareGenerator::generate(const WindowGenContext &ctx,
     //    the second), each taking the lowest-id free devices of its
     //    island. Unordered iteration keeps the (i, j) and (j, i)
     //    splits from being emitted — and scored — twice.
-    for (std::size_t i = 0; i + 1 < num_isl && n >= 2; ++i) {
+    for (std::size_t a = 0; a + 1 < present.size() && n >= 2; ++a) {
+        const std::uint32_t i = present[a];
         const std::size_t ci = isl[i].size();
-        if (ci == 0)
-            continue;
-        for (std::size_t j = i + 1; j < num_isl; ++j) {
+        for (std::size_t b = a + 1; b < present.size(); ++b) {
+            const std::uint32_t j = present[b];
             const std::size_t cj = isl[j].size();
-            if (cj == 0 || ci + cj < n)
+            if (ci + cj < n)
                 continue;
             if (ci >= n && cj >= n)
                 continue; // both host alone: their bands cover it
@@ -113,10 +121,7 @@ IslandAwareGenerator::generate(const WindowGenContext &ctx,
     //    in particular the memory-first fallback — from hinging on
     //    a single candidate whose devices happen to be loaded.
     if (largest < n) {
-        std::vector<std::size_t> order;
-        for (std::size_t k = 0; k < num_isl; ++k)
-            if (!isl[k].empty())
-                order.push_back(k);
+        std::vector<std::size_t> order(present.begin(), present.end());
         std::stable_sort(order.begin(), order.end(),
                          [&](std::size_t a, std::size_t b) {
                              return isl[a].size() > isl[b].size();

@@ -47,8 +47,20 @@ namespace spindle {
 struct WindowGenContext
 {
     const ClusterTopology &topo;
-    const DeviceSet &free; ///< free device ids, ascending
-    std::uint32_t n = 0;   ///< devices the entry needs (<= free.size())
+    /**
+     * Free device ids, ascending: the placer's *view* of the free
+     * list (see placement.h). It holds every free device except the
+     * middle of long runs of interchangeable islands no entry of the
+     * pass has touched; each such run keeps its first and last
+     * ceil(n / island size) + 1 islands, so both ends of every run are
+     * present and the view may join two kept islands that the full
+     * list separates. A generator whose candidates on a dropped
+     * island tie with, and enumerate after, the same candidates on a
+     * kept island of its run (the built-in ones do) picks the same
+     * window as on the full list.
+     */
+    const DeviceSet &free;
+    std::uint32_t n = 0; ///< devices the entry needs (<= free.size())
 };
 
 /**

@@ -689,6 +689,42 @@ TEST(PlannerEquivalence, QwenVal9BLargerCluster)
 }
 
 // ===================================================================
+// Seed workloads where the placement view collapses untouched islands
+// ===================================================================
+
+/** Reference vs optimized on @p num_nodes 8-GPU nodes, where some
+ *  entry must be placed beside a run of untouched islands long enough
+ *  for the placement view to cut (see placement.h). */
+void
+expectEquivalentBesideCollapsedRun(const ComputationGraph &graph,
+                                   std::uint32_t num_nodes)
+{
+    ClusterConfig cluster;
+    cluster.numNodes = num_nodes;
+    cluster.gpusPerNode = 8;
+    {
+        ClusterTopology topo(cluster);
+        HardwareModel hw(topo);
+        const MetaGraph meta = contractGraph(graph);
+        const PlannerOutput out = ExecutionPlanner(hw, {}).plan(meta);
+        ASSERT_TRUE(testutil::placesBesideCollapsedRun(out.plan, topo));
+    }
+    expectEquivalentOn(graph, std::move(cluster));
+}
+
+TEST(PlannerEquivalence, Clip4TasksCollapsedRuns)
+{
+    expectEquivalentBesideCollapsedRun(buildMultitaskClip({.numTasks = 4}),
+                                       64);
+}
+
+TEST(PlannerEquivalence, Clip10TasksCollapsedRuns)
+{
+    expectEquivalentBesideCollapsedRun(buildMultitaskClip({.numTasks = 10}),
+                                       128);
+}
+
+// ===================================================================
 // Alternate planner configurations
 // ===================================================================
 

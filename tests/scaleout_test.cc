@@ -158,6 +158,41 @@ TEST(ScaleOut, SyncBlindPlansMatchRecordedBytes)
     }
 }
 
+TEST(ScaleOut, LargeClusterPlansDoNotDrift)
+{
+    // CLIP-10 uses the same devices at 1024, 4096 and 16384 GPUs:
+    // the extra islands stay untouched, so the plan must not move
+    // device for device. The frozen reference placer of
+    // planner_equivalence_test is far too slow at 16384 GPUs, so this
+    // guards the placement view (which keeps only the ends of
+    // untouched runs) against a tie-break slip there.
+    const ComputationGraph graph = buildMultitaskClip({.numTasks = 10});
+    const MetaGraph meta = contractGraph(graph);
+    std::optional<ExecutionPlan> first;
+    for (std::uint32_t gpus : {1024u, 4096u, 16384u}) {
+        SCOPED_TRACE(strCat("gpus=", gpus));
+        ClusterTopology topo(nodesOf(gpus));
+        HardwareModel hw(topo);
+        const PlannerOutput out = ExecutionPlanner(hw, {}).plan(meta);
+        if (!first) {
+            first = out.plan;
+            continue;
+        }
+        EXPECT_EQ(out.plan.estimatedSpan, first->estimatedSpan);
+        ASSERT_EQ(out.plan.waves.size(), first->waves.size());
+        for (std::size_t w = 0; w < first->waves.size(); ++w) {
+            const std::vector<WaveEntry> &got = out.plan.waves[w].entries;
+            const std::vector<WaveEntry> &want = first->waves[w].entries;
+            ASSERT_EQ(got.size(), want.size()) << "wave " << w;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(got[i].metaOp, want[i].metaOp);
+                EXPECT_EQ(got[i].devices, want[i].devices)
+                    << "wave " << w << " entry " << i;
+            }
+        }
+    }
+}
+
 TEST(ScaleOut, SyncBlindFallbackWhenPricedPlanDoesNotFit)
 {
     // With a fraction of the priced plan's peak memory, the narrower

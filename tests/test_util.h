@@ -202,6 +202,46 @@ placementDigest(const PlannerOutput &out)
     return d.value();
 }
 
+/**
+ * Whether some entry of @p plan (of wave @p from_wave or later) is
+ * placed while a run of more than 2K consecutive equal-size islands
+ * (K = ceil(n / island size) + 1) holds no device of its wave or of an
+ * earlier one: a run the placement view cuts to its ends. Conservative, as the devices counted include those
+ * of entries placed after it in its wave. Assumes islands are
+ * contiguous id ranges in index order (shorthand and
+ * heteroIslandConfig() clusters).
+ */
+inline bool
+placesBesideCollapsedRun(const ExecutionPlan &plan,
+                         const ClusterTopology &topo,
+                         std::size_t from_wave = 0)
+{
+    std::vector<char> used(topo.numIslands(), 0);
+    for (std::size_t wi = 0; wi < plan.waves.size(); ++wi) {
+        const Wave &w = plan.waves[wi];
+        for (const WaveEntry &e : w.entries)
+            for (DeviceId d : e.devices)
+                used[topo.islandOf(d)] = 1;
+        if (wi < from_wave)
+            continue;
+        for (const WaveEntry &e : w.entries) {
+            std::uint32_t run = 0;
+            for (std::uint32_t i = 0; i < topo.numIslands(); ++i) {
+                const std::uint32_t size = topo.islandSizeOf(i);
+                if (used[i])
+                    run = 0;
+                else if (run > 0 && size != topo.islandSizeOf(i - 1))
+                    run = 1;
+                else
+                    ++run;
+                if (run > 2 * ((e.n + size - 1) / size + 1))
+                    return true;
+            }
+        }
+    }
+    return false;
+}
+
 /** One bare operator description for low-level hardware tests. */
 inline OperatorDesc
 plainOp(std::int64_t batch = 32, std::int64_t seq = 128,
