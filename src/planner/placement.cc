@@ -544,11 +544,10 @@ struct DevicePlacement::Pass
                       return topo.islandDevices(a).front() <
                              topo.islandDevices(b).front();
                   });
-        seg_of_island.assign(num_isl, 0);
+        seg_of_island.assign(num_isl, 0); // the single segment's index
         std::vector<std::uint32_t> seg_island;
         if (!contiguous) {
             seg_range.push_back({0, dev_end});
-            seg_island.push_back(0);
         } else {
             for (std::uint32_t i : by_lo) {
                 const DeviceSet &devs = topo.islandDevices(i);
@@ -587,7 +586,7 @@ struct DevicePlacement::Pass
     std::uint32_t
     segmentOf(DeviceId d) const
     {
-        return seg_range.size() == 1 ? 0 : seg_of_island[topo.islandOf(d)];
+        return seg_of_island[topo.islandOf(d)];
     }
 
     /** Wave start: every device is free again. Only touched segments
