@@ -40,6 +40,9 @@ class SpindleSystem : public System
 
     ExecutionPlan buildPlan(const MetaGraph &graph) const override;
 
+    /** The planner's memory regime (plannerOptions().memory). */
+    MemoryParams memoryParams() const override { return options_.memory; }
+
     const PlannerOptions &plannerOptions() const { return options_; }
 
   private:

@@ -63,6 +63,13 @@ class System
     virtual ExecutionPlan buildPlan(const MetaGraph &graph) const = 0;
 
     /**
+     * Memory accounting regime (ZeRO flags) the engine measures
+     * runIteration()'s peak memory under: the one the system planned
+     * under. Default: no sharding.
+     */
+    virtual MemoryParams memoryParams() const { return {}; }
+
+    /**
      * Template method: build the plan, annotate its readiness
      * edges, validate it, execute one iteration on the simulator,
      * and package the measurements.

@@ -1,9 +1,7 @@
 #include "cost/estimator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
-#include <random>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -15,7 +13,6 @@ ScalabilityEstimator::ScalabilityEstimator(const HardwareModel &hw,
                                            EstimatorOptions options)
     : hw_(hw), options_(options)
 {
-    fatalIf(options_.noiseStdFrac < 0, "Estimator: negative noise");
 }
 
 std::vector<std::uint32_t>
@@ -23,8 +20,6 @@ ScalabilityEstimator::profilePoints(const MetaOp &m,
                                     std::uint32_t max_devices) const
 {
     std::vector<std::uint32_t> valid = hw_.validAllocations(m, max_devices);
-    if (options_.profileAllValid)
-        return valid;
 
     // Island-size boundaries: the TP cap (and hence the invoked
     // kernels) changes where an allocation first outgrows an island,
@@ -53,18 +48,7 @@ double
 ScalabilityEstimator::probe(const MetaOp &m, std::uint32_t n) const
 {
     num_probes_.fetch_add(1, std::memory_order_relaxed);
-    double t = hw_.metaOpTime(m, n);
-    if (options_.noiseStdFrac > 0) {
-        // Deterministic per-(MetaOp, n) noise stream so repeated
-        // estimation is reproducible.
-        std::seed_seq seq{options_.seed,
-                          static_cast<std::uint64_t>(m.id),
-                          static_cast<std::uint64_t>(n)};
-        std::mt19937_64 rng(seq);
-        std::normal_distribution<double> dist(0.0, options_.noiseStdFrac);
-        t *= std::max(0.05, 1.0 + dist(rng));
-    }
-    return t;
+    return hw_.metaOpTime(m, n);
 }
 
 ScalingCurve
@@ -107,9 +91,8 @@ ScalabilityEstimator::estimateAll(const MetaGraph &graph,
     const std::size_t count = ops.size();
 
     // Each MetaOp's curve is a pure function of (oracle, options,
-    // MetaOp, max_devices) — including the noisy variant, whose
-    // noise stream is seeded per (MetaOp, n) — so curves can be
-    // estimated on any lane and land at their own index.
+    // MetaOp, max_devices), so curves can be estimated on any lane
+    // and land at their own index.
     std::vector<std::optional<ScalingCurve>> slots(count);
     maybeParallelFor(pool, /*parallel=*/true, 0, count, 1,
                      [&](std::size_t i) {

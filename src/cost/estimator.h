@@ -6,8 +6,7 @@
  *
  * In the paper the profiling source is the physical cluster; here it
  * is the analytical HardwareModel oracle (see DESIGN.md §1 for why
- * the substitution preserves behaviour). Optional multiplicative
- * measurement noise exercises fit robustness deterministically.
+ * the substitution preserves behaviour).
  */
 
 #ifndef SPINDLE_COST_ESTIMATOR_H
@@ -34,18 +33,6 @@ struct EstimatorOptions
      * samples (the homogeneous baseline of Appendix A).
      */
     bool piecewise = true;
-
-    /**
-     * Profile every valid allocation instead of only the power-of-
-     * two subset. More samples, exact knots, slower "profiling".
-     */
-    bool profileAllValid = false;
-
-    /** Std-dev of multiplicative measurement noise (0 = exact). */
-    double noiseStdFrac = 0.0;
-
-    /** Seed for the deterministic noise stream. */
-    std::uint64_t seed = 0x5eed;
 };
 
 /**

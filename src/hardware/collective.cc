@@ -469,21 +469,6 @@ CollectiveModel::p2pTime(double bytes, DeviceId src, DeviceId dst) const
     return bytes / link.bandwidth + link.latency;
 }
 
-namespace {
-
-/** A flow over @p link, sharded across min(|src|, |dst|) streams:
- *  each stream moves a slice. */
-double
-shardedFlowTime(double bytes, const DeviceSet &src, const DeviceSet &dst,
-                const LinkParams &link)
-{
-    const double streams =
-        static_cast<double>(std::min(src.size(), dst.size()));
-    return bytes / streams / link.bandwidth + link.latency;
-}
-
-} // namespace
-
 double
 CollectiveModel::flowTime(double bytes, const DeviceSet &src,
                           const DeviceSet &dst) const
@@ -498,38 +483,12 @@ CollectiveModel::flowTime(double bytes, const DeviceSet &src,
     // highest bandwidth, ties broken toward the lower latency, so the
     // winner is a pure function of the *set* of spanned link classes
     // (pinned by property_test's stripe-relabel invariance case) and
-    // is read off per island instead of per pair.
-    return shardedFlowTime(bytes, src, dst,
-                           topo_.bestLinkBetween(src, dst));
-}
-
-double
-CollectiveModel::pairedFlowTime(double bytes, const DeviceSet &src,
-                                const DeviceSet &dst) const
-{
-    panicIf(src.empty() || dst.empty(),
-            "pairedFlowTime: empty device set");
-    if (bytes <= 0)
-        return 0.0;
-    if (src == dst)
-        return 0.0; // data already resident where it is consumed
-
-    // The legacy best-pair bound, surcharged by the attributed
-    // inter-island share: destinations whose island holds no source
-    // device receive their shard over the inter-island fabric, so
-    // the flow is charged its own cost once more for that fraction
-    // of its shards — the identical shard-by-shard attribution
-    // PlacementResult.interIslandCommSeconds applies. Miss-free
-    // flows price exactly like flowTime, so enabling the pairing-
-    // aware oracle only separates windows the attribution metric
-    // itself distinguishes.
-    std::size_t miss = 0;
-    const double t = shardedFlowTime(
-        bytes, src, dst, topo_.bestLinkBetween(src, dst, &miss));
-    if (t <= 0)
-        return t;
-    return t * (1.0 + static_cast<double>(miss) /
-                          static_cast<double>(dst.size()));
+    // is read off per island instead of per pair. The data is
+    // sharded across min(|src|, |dst|) streams.
+    const LinkParams link = topo_.bestLinkBetween(src, dst);
+    const double streams =
+        static_cast<double>(std::min(src.size(), dst.size()));
+    return bytes / streams / link.bandwidth + link.latency;
 }
 
 } // namespace spindle

@@ -122,8 +122,6 @@ struct BandState
      * monotone, so the difference never borrows across them.
      */
     std::vector<std::uint64_t> inflowPref;
-    /** Island-miss counts, inflows x (B+1); paired pricing only. */
-    std::vector<std::uint32_t> missPref;
     std::vector<std::ptrdiff_t> eqWindow; ///< per inflow, -1 = none
 };
 
@@ -194,15 +192,6 @@ std::uint64_t
 classBit(unsigned c)
 {
     return std::uint64_t{1} << (kClsFieldBits * c);
-}
-
-/** Pairing-aware price of a flow of best-pair time @p t: it pays its
- *  cost again for the fraction of the @p n window members in islands
- *  holding no source device (see pairedFlowTime). */
-double
-pairedSurcharge(double t, std::uint32_t miss, std::uint32_t n)
-{
-    return t * (1.0 + static_cast<double>(miss) / static_cast<double>(n));
 }
 
 /**
@@ -368,12 +357,6 @@ struct DevicePlacement::Pass
     const bool memory_first;
     const double capacity;
     const bool use_pool;
-    /** Window flow oracle: the legacy best-pair bound, or the
-     *  pairing-aware per-destination-shard price behind the
-     *  PlacementOptions flag (see placement.h). Both the exact paths
-     *  and the class-level fast path dispatch on this. */
-    const bool paired;
-    const bool prune;
 
     // The three *default* link classes a (src set, candidate device)
     // pair can use. CollectiveModel::flowTime maximizes bandwidth
@@ -390,11 +373,7 @@ struct DevicePlacement::Pass
     // classes (uniformLinks() false), where three classes cannot
     // describe the fabric at all — drop to scoring every window with
     // the flow oracle directly (exact_comm), keeping the
-    // bit-identical contract unconditional. The same class machinery
-    // serves the pairing-aware oracle: the window's best class still
-    // sets the base flow bound, and pairedFlowTime is that bound
-    // surcharged by the window's island-miss fraction, which the
-    // per-position island ids count exactly.
+    // bit-identical contract unconditional.
     const LinkParams link_class[kNumLinkClasses];
     int class_by_bw[kNumLinkClasses] = {0, 1, 2};
     int rank_of_class[kNumLinkClasses] = {0, 1, 2};
@@ -494,8 +473,6 @@ struct DevicePlacement::Pass
           memory_first(memory_first_pass),
           capacity(topo.device().memoryBytes * options.memorySlack),
           use_pool(pool != nullptr && pool->threads() > 1),
-          paired(options.pairingAwareFlowPricing),
-          prune(options.bandPruning),
           link_class{
               {topo.device().copyBandwidth, 0.0}, // overlapping device
               topo.config().intraIsland,          // same island
@@ -1044,9 +1021,7 @@ struct DevicePlacement::Pass
             InflowCtx &ctx = inflow_ctx[k];
 
             // The whole flow over the best pair, sharded across
-            // min(|src|, n) streams — both pricing modes: the
-            // pairing-aware oracle is this bound scaled by its window's
-            // island-miss fraction (see pairedFlowTime).
+            // min(|src|, n) streams.
             const double streams =
                 static_cast<double>(std::min<std::size_t>(src.size(), n));
             for (int c = 0; c < kNumLinkClasses; ++c)
@@ -1133,8 +1108,6 @@ struct DevicePlacement::Pass
                 const std::size_t need = inflows.size() * (B + 1);
                 if (bs.inflowPref.size() < need)
                     bs.inflowPref.resize(need);
-                if (paired && bs.missPref.size() < need)
-                    bs.missPref.resize(need);
                 bs.eqWindow.assign(inflows.size(), -1);
             }
         }
@@ -1157,8 +1130,8 @@ struct DevicePlacement::Pass
     }
 
     /** Shared per-band state: island-change prefix, minimum load,
-     *  link-class (and island-miss) prefixes, and the band window equal
-     *  to a source set (zero-cost transfer). */
+     *  link-class prefixes, and the band window equal to a source set
+     *  (zero-cost transfer). */
     void
     buildBandShared(std::size_t b)
     {
@@ -1216,18 +1189,6 @@ struct DevicePlacement::Pass
             } else {
                 for (std::size_t i = 0; i < B; ++i)
                     pref[i + 1] = pref[i] + classBit(ctx.cls[band[i]]);
-            }
-            if (paired) {
-                // Island-miss prefix: positions whose island holds no
-                // source device (the pairing-aware surcharge counts
-                // them).
-                std::uint32_t *mpref = bs.missPref.data() + k * stride;
-                mpref[0] = 0;
-                for (std::size_t i = 0; i < B; ++i)
-                    mpref[i + 1] =
-                        mpref[i] +
-                        (ctx.srcCountByIsland[pos_island[at(i)]] == 0 ? 1u
-                                                                      : 0u);
             }
 
             const DeviceSet &src = *inflows[k].second;
@@ -1355,7 +1316,7 @@ struct DevicePlacement::Pass
         const auto &band = cand_windows.bands[b];
         const BandState &bs = band_states[b];
         const std::size_t stride = band.size() + 1;
-        if (prune && bs.minTotal > capacity)
+        if (bs.minTotal > capacity)
             return; // every window fails capacity
 
         // Per-row sweep pointers: first resident band index >= w_lo;
@@ -1371,8 +1332,8 @@ struct DevicePlacement::Pass
                                  static_cast<std::uint32_t>(w_lo)) -
                 idx.begin());
         }
-        if (prune && chunkLowerBound(b, w_lo, w_hi, row_ptr, row_nonres) >
-                         prune_bound.load(std::memory_order_relaxed))
+        if (chunkLowerBound(b, w_lo, w_hi, row_ptr, row_nonres) >
+            prune_bound.load(std::memory_order_relaxed))
             return;
 
         std::vector<std::size_t> &dq = lane.dq;
@@ -1421,14 +1382,7 @@ struct DevicePlacement::Pass
                             break;
                         }
                     }
-                    const double t = inflow_ctx[k].flowByClass[cls];
-                    if (paired) {
-                        const std::uint32_t *mpref =
-                            bs.missPref.data() + k * stride;
-                        comm += pairedSurcharge(t, mpref[w + n] - mpref[w], n);
-                        continue;
-                    }
-                    comm += t;
+                    comm += inflow_ctx[k].flowByClass[cls];
                 }
             }
 
@@ -1566,16 +1520,7 @@ struct DevicePlacement::Pass
                 if (best_rank == 0)
                     break;
             }
-            const double t = ctx.flowByClass[class_by_bw[best_rank]];
-            if (paired) {
-                std::uint32_t miss = 0;
-                for (std::uint32_t p : win_pos)
-                    if (ctx.srcCountByIsland[pos_island[p]] == 0)
-                        ++miss;
-                comm += pairedSurcharge(t, miss, n);
-                continue;
-            }
-            comm += t;
+            comm += ctx.flowByClass[class_by_bw[best_rank]];
         }
         return comm;
     }
@@ -1597,13 +1542,11 @@ struct DevicePlacement::Pass
         if (!betterThan(c, best))
             return;
         best = c;
-        if (prune) {
-            double cur = prune_bound.load(std::memory_order_relaxed);
-            while (c.primary < cur &&
-                   !prune_bound.compare_exchange_weak(
-                       cur, c.primary, std::memory_order_relaxed))
-                ;
-        }
+        double cur = prune_bound.load(std::memory_order_relaxed);
+        while (c.primary < cur &&
+               !prune_bound.compare_exchange_weak(cur, c.primary,
+                                                  std::memory_order_relaxed))
+            ;
     }
 
     /** Whether the window at free-list positions @p pos is @p src (a
@@ -1644,8 +1587,7 @@ struct DevicePlacement::Pass
     {
         double comm = 0;
         for (const auto &[bytes, src] : inflows)
-            comm += paired ? coll.pairedFlowTime(bytes, *src, win)
-                           : coll.flowTime(bytes, *src, win);
+            comm += coll.flowTime(bytes, *src, win);
         return comm;
     }
 
@@ -1686,7 +1628,7 @@ struct DevicePlacement::Pass
     double
     affinity(double non_resident_bytes) const
     {
-        return options.paramAffinityWeight * 2.0 * non_resident_bytes /
+        return 2.0 * non_resident_bytes /
                topo.config().interIslandCollective.bandwidth;
     }
 
@@ -1751,10 +1693,7 @@ struct DevicePlacement::Pass
         // receives its shard over the inter-island fabric. Finer-grained
         // than flowTime's best-pair pricing, which cannot tell an
         // island-aligned window from one that merely touches the source's
-        // island. Deliberately priced with the legacy flowTime even under
-        // pairing-aware scoring, so interIslandCommSeconds stays one
-        // metric comparable across pricing modes (the acceptance
-        // comparison in planner_equivalence_test depends on this).
+        // island.
         double entry_inter = 0;
         for (const auto &[bytes, src] : inflows) {
             const double t = coll.flowTime(bytes, *src, win);
@@ -1826,39 +1765,6 @@ DevicePlacement::place(const MetaGraph &graph, ExecutionPlan &plan,
                        std::size_t resume_wave,
                        const std::vector<PlacementCommit> &prefix,
                        std::vector<PlacementCommit> *commit_log) const
-{
-    if (!options_.pairingAwareFlowPricing)
-        return placeCascade(graph, plan, resume_wave, prefix, commit_log);
-
-    // Pairing-aware pricing: both flow oracles place from scratch,
-    // and the placement attributing less inter-island comm wins.
-    panicIf(resume_wave > 0,
-            "DevicePlacement::place: pairing-aware pricing resumed");
-    PlacementOptions legacy_options = options_;
-    legacy_options.pairingAwareFlowPricing = false;
-    ExecutionPlan legacy_plan = plan;
-    std::vector<PlacementCommit> legacy_log;
-    std::optional<PlacementResult> legacy =
-        DevicePlacement(topo_, hw_, mem_, legacy_options, pool_)
-            .place(graph, legacy_plan, 0, {},
-                   commit_log != nullptr ? &legacy_log : nullptr);
-    std::optional<PlacementResult> paired =
-        placeCascade(graph, plan, 0, {}, commit_log);
-    if (legacy && (!paired || legacy->interIslandCommSeconds <
-                                  paired->interIslandCommSeconds)) {
-        plan = std::move(legacy_plan);
-        if (commit_log != nullptr)
-            *commit_log = std::move(legacy_log);
-        return legacy;
-    }
-    return paired;
-}
-
-std::optional<PlacementResult>
-DevicePlacement::placeCascade(const MetaGraph &graph, ExecutionPlan &plan,
-                              std::size_t resume_wave,
-                              const std::vector<PlacementCommit> &prefix,
-                              std::vector<PlacementCommit> *commit_log) const
 {
     panicIf(resume_wave == 0 && !prefix.empty(),
             "DevicePlacement::place: prefix records without a resume wave");

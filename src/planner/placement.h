@@ -97,23 +97,22 @@
  * the same scheme: per residency row a sparse ascending list of
  * holder positions replaces the rows × free flag matrix.
  *
- * **Admissible band pruning** (PlacementOptions::bandPruning): before
- * scoring a chunk of band windows, the sweep derives an exact lower
- * bound on every window's primary score from the already-built
- * prefix state — minimum load along the band for the memory term,
- * the cheapest link class present anywhere in the chunk's position
- * range per inflow, residency over the whole range for the affinity
- * term, and min(0, penalty) for the island penalty. Each bound term
- * is ≤ its counterpart and is accumulated in the same structural
- * order as the real score, so by monotonicity of rounded addition
- * the bound never exceeds any window's primary. A chunk is skipped
- * only when its bound is *strictly* above an already-scored
- * candidate's primary; the selection tie-break (secondary, then
- * serial enumeration ordinal) only arbitrates between equal
- * primaries, so a pruned chunk can never contain the winner and the
- * emitted plan is byte-identical with pruning on or off, at any
- * thread count (pinned by planner_equivalence_test, which toggles
- * the flag at 1024 GPUs).
+ * **Admissible band pruning**: before scoring a chunk of band
+ * windows, the sweep derives an exact lower bound on every window's
+ * primary score from the already-built prefix state — minimum load
+ * along the band for the memory term, the cheapest link class present
+ * anywhere in the chunk's position range per inflow, residency over
+ * the whole range for the affinity term, and min(0, penalty) for the
+ * island penalty. Each bound term is ≤ its counterpart and is
+ * accumulated in the same structural order as the real score, so by
+ * monotonicity of rounded addition the bound never exceeds any
+ * window's primary. A chunk is skipped only when its bound is
+ * *strictly* above an already-scored candidate's primary; the
+ * selection tie-break (secondary, then serial enumeration ordinal)
+ * only arbitrates between equal primaries, so a pruned chunk can
+ * never contain the winner and the emitted plan is byte-identical to
+ * an unpruned sweep's, at any thread count (pinned by
+ * planner_equivalence_test, whose frozen reference never prunes).
  *
  * With a ThreadPool the per-entry sweep runs as a parallel reduction:
  * the position setup (per-device loads, link classes, residency
@@ -146,11 +145,11 @@
  *  8. commit (commit): reverse index, device commit, inter-island
  *     attribution, commit log, compaction of the window's segments.
  * Every scoring term has one helper (affinity, exact-oracle window
- * pricing, class presence, paired surcharge) shared by the bands,
- * the extras, the pruning bound and the Sequential strategy, which
- * replaces stages 4-7 with placeSequential. Whole-pass O(devices)
- * setup (the device state, the per-device epoch tables, peakBytes)
- * runs once per pass, never per entry or per wave.
+ * pricing, class presence) shared by the bands, the extras, the
+ * pruning bound and the Sequential strategy, which replaces stages
+ * 4-7 with placeSequential. Whole-pass O(devices) setup (the device
+ * state, the per-device epoch tables, peakBytes) runs once per pass,
+ * never per entry or per wave.
  *
  * A Sequential strategy (each entry takes the next consecutive
  * device ids, no topology awareness — by design independent of the
@@ -215,48 +214,6 @@ struct PlacementOptions
     /** Weight converting relative memory imbalance into seconds in
      *  the placement score (heuristic trade-off knob). */
     double memoryWeight = 1e-3;
-
-    /**
-     * Weight of the parameter-affinity bonus (§3.5: MetaOps sharing
-     * parameters are preferentially co-located, shrinking redundant
-     * storage and gradient-sync device groups). The bonus is the
-     * estimated all-reduce seconds saved by not growing the groups
-     * of parameters already resident on the candidate devices.
-     */
-    double paramAffinityWeight = 1.0;
-
-    /**
-     * Price candidate windows with
-     * CollectiveModel::pairedFlowTime (per-destination shards, the
-     * flow finishing with its slowest destination — the same
-     * attribution PlacementResult.interIslandCommSeconds reports)
-     * instead of flowTime's best-pair bound. The paired oracle can
-     * punish a window for merely touching a congested source island,
-     * which the best-pair bound cannot, so IslandAware windows
-     * dominate even on homogeneous clusters. The greedy window choice
-     * is myopic, though: keeping one entry in its source island can
-     * push later entries across islands, so on some plans the paired
-     * pass attributes more inter-island comm than the legacy one.
-     * place() therefore runs both passes from scratch and keeps the
-     * one attributing less (the paired one on ties), which is also
-     * why the planner reuses no placement prefix under this flag.
-     * Default off: the legacy scoring stays byte-identical to the
-     * frozen equivalence reference. Plan-affecting (folded into the
-     * planner's options fingerprint).
-     */
-    bool pairingAwareFlowPricing = false;
-
-    /**
-     * Admissible pruning of the candidate sweep (see the file
-     * comment): skip a chunk of band windows when an exact lower
-     * bound on every window's primary score is strictly above an
-     * already-scored candidate's. Winner-preserving by construction,
-     * so plans are byte-identical with the flag on or off; it exists
-     * as the equivalence test's proof handle and as a perf escape
-     * hatch. Value-transparent — excluded from the planner options
-     * fingerprint, like thread count and plan-cache settings.
-     */
-    bool bandPruning = true;
 };
 
 /**
@@ -336,10 +293,7 @@ class DevicePlacement
      * The fallback cascade: a comm-first pass; on failure, a
      * memory-first pass from the first infeasible wave (when
      * PlacementOptions::partialFallbackRestart); then a full
-     * memory-first restart. Under pairingAwareFlowPricing the cascade
-     * runs once per flow oracle, from scratch (@p resume_wave must be
-     * 0), and the placement attributing less inter-island comm is
-     * kept.
+     * memory-first restart.
      *
      * When @p commit_log is non-null it receives the commit records
      * of the successful comm-first pass (prefix included),
@@ -356,13 +310,6 @@ class DevicePlacement
   private:
     /** One pass's state and its named stages (see the file comment). */
     struct Pass;
-
-    /** place()'s fallback cascade with the configured flow oracle. */
-    std::optional<PlacementResult>
-    placeCascade(const MetaGraph &graph, ExecutionPlan &plan,
-                 std::size_t resume_wave,
-                 const std::vector<PlacementCommit> &prefix,
-                 std::vector<PlacementCommit> *commit_log) const;
 
     /** Internal alias; see PlacementCommit. */
     using CommitRecord = PlacementCommit;

@@ -37,22 +37,15 @@ mix(std::uint64_t h, double v)
 /**
  * Fingerprint of every option that can change planned bytes.
  * `threads` is deliberately excluded (plans are byte-identical at
- * any thread count), as are `cache` (bookkeeping, not behavior),
- * `placement.bandPruning` (the admissible pruning is
- * winner-preserving by construction — see placement.h — so toggling
- * it cannot change a single planned byte, and fingerprinting it
- * would needlessly split otherwise-identical cache contexts) and
- * the estimator noise/seed fields — replan() bypasses the cache
- * entirely when noise is on, and with noise off the seed is unread.
+ * any thread count), as are `cache` (bookkeeping, not behavior) and
+ * `placement.generator` (an opaque pointer: replan() bypasses the
+ * cache when one is installed).
  */
 std::uint64_t
 optionsFingerprint(const PlannerOptions &o)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     h = mix(h, static_cast<std::uint64_t>(o.estimator.piecewise));
-    h = mix(h, static_cast<std::uint64_t>(o.estimator.profileAllValid));
-    h = mix(h, o.allocator.bisectionRelTol);
-    h = mix(h, static_cast<std::uint64_t>(o.allocator.maxBisectionIters));
     h = mix(h, static_cast<std::uint64_t>(o.scheduler.extendResources));
     h = mix(h, static_cast<std::uint64_t>(o.placement.strategy));
     h = mix(h, static_cast<std::uint64_t>(o.placement.windows));
@@ -60,9 +53,6 @@ optionsFingerprint(const PlannerOptions &o)
             static_cast<std::uint64_t>(o.placement.partialFallbackRestart));
     h = mix(h, o.placement.memorySlack);
     h = mix(h, o.placement.memoryWeight);
-    h = mix(h, o.placement.paramAffinityWeight);
-    h = mix(h,
-            static_cast<std::uint64_t>(o.placement.pairingAwareFlowPricing));
     h = mix(h, o.memory.optimizerFactor);
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardOptimizer));
     h = mix(h, static_cast<std::uint64_t>(o.memory.zeroShardParams));
@@ -293,12 +283,9 @@ ExecutionPlanner::plan(const MetaGraph &graph) const
 PlannerOutput
 ExecutionPlanner::replan(const MetaGraph &graph) const
 {
-    // Value transparency has two preconditions: estimation must be
-    // noise-free (noise draws are seeded per MetaOp id, invisible to
-    // positional signatures) and the placement configuration must be
-    // fingerprintable (a custom generator is an opaque pointer).
-    if (options_.estimator.noiseStdFrac > 0 ||
-        options_.placement.generator != nullptr)
+    // Value transparency needs a fingerprintable placement
+    // configuration, and a custom generator is an opaque pointer.
+    if (options_.placement.generator != nullptr)
         return plan(graph);
     return runPipeline(graph, &planCache());
 }
@@ -425,7 +412,7 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
 
     // §3.3: per-MetaLevel MPSP allocation + bi-point discretization
     // (levels are data-independent — parallel when pooled).
-    ResourceAllocator allocator(graph, curves, n, options_.allocator);
+    ResourceAllocator allocator(graph, curves, n);
     const LevelMemo level_memo{cache, ctx, graph, n};
     std::vector<LevelAllocation> allocations =
         memoizedStage<LevelAllocation>(
@@ -470,9 +457,8 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
     // level prefix with this workload is replayed and only the waves
     // of perturbed levels are scored. Prefix reuse relies on the
     // Spindle strategy's state being wave-local; Sequential threads
-    // a device cursor through every wave, and pairing-aware pricing
-    // picks between two whole from-scratch passes, so both place from
-    // scratch (full hits above still apply).
+    // a device cursor through every wave, so it places from scratch
+    // (full hits above still apply).
     MemoryModel mem(options_.memory);
     DevicePlacement placement(hw_.topology(), hw_, mem,
                               options_.placement, pool_.get());
@@ -480,8 +466,7 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
     std::vector<PlacementCommit> prefix;
     std::vector<PlacementCommit> commit_log;
     if (cache != nullptr &&
-        options_.placement.strategy == PlacementStrategy::Spindle &&
-        !options_.placement.pairingAwareFlowPricing) {
+        options_.placement.strategy == PlacementStrategy::Spindle) {
         std::size_t donor_levels = 0;
         const PlanCache::PlanPtr donor =
             cache->bestPrefixDonor(ctx, sig, &donor_levels);
@@ -505,7 +490,7 @@ ExecutionPlanner::runPipeline(const MetaGraph &graph, PlanCache *cache) const
         // spreads it. It is placed from scratch (no donor prefix, so
         // no prefix reuse to report) and without a commit log: its
         // commits would not replay onto a priced plan.
-        ResourceAllocator blind(graph, out.curves, n, options_.allocator);
+        ResourceAllocator blind(graph, out.curves, n);
         schedule(out.curves, blind.allocateAll(pool_.get()));
         placed = placement.place(graph, out.plan);
         out.syncBlindFallback = true;

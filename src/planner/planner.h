@@ -49,7 +49,6 @@ namespace spindle {
 struct PlannerOptions
 {
     EstimatorOptions estimator;
-    AllocatorOptions allocator;
     SchedulerOptions scheduler;
     PlacementOptions placement;
 
@@ -186,10 +185,8 @@ class ExecutionPlanner
      * Incremental replan for dynamic arrivals/departures: plan
      * @p graph, reusing every cached result its value signature
      * licenses (see the file comment). Byte-identical to plan() on
-     * the same graph. Falls back to plan() outright when estimator
-     * noise is enabled (noise draws are seeded per MetaOp id, which
-     * value signatures deliberately ignore) or a custom window
-     * generator is installed (an opaque pointer the options
+     * the same graph. Falls back to plan() outright when a custom
+     * window generator is installed (an opaque pointer the options
      * fingerprint cannot capture).
      */
     PlannerOutput replan(const MetaGraph &graph) const;

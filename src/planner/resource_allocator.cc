@@ -10,6 +10,16 @@
 
 namespace spindle {
 
+namespace {
+
+/** Relative convergence tolerance of the bisection search. */
+constexpr double kBisectionRelTol = 1e-7;
+
+/** Hard cap on bisection iterations (guards degenerate curves). */
+constexpr std::uint32_t kMaxBisectionIters = 200;
+
+} // namespace
+
 ScalingCurve
 syncPricedCurve(const ScalingCurve &compute, const MetaOp &m,
                 std::uint32_t sharing, const ClusterTopology &topo)
@@ -39,10 +49,8 @@ syncPricedCurve(const ScalingCurve &compute, const MetaOp &m,
 
 ResourceAllocator::ResourceAllocator(const MetaGraph &graph,
                                      const std::vector<ScalingCurve> &curves,
-                                     std::uint32_t num_devices,
-                                     AllocatorOptions options)
-    : graph_(graph), curves_(curves), num_devices_(num_devices),
-      options_(options)
+                                     std::uint32_t num_devices)
+    : graph_(graph), curves_(curves), num_devices_(num_devices)
 {
     fatalIf(num_devices_ == 0, "ResourceAllocator: empty cluster");
     fatalIf(curves_.size() != graph_.numMetaOps(),
@@ -66,7 +74,7 @@ ResourceAllocator::solveContinuous(const std::vector<MetaOpId> &level) const
         c_low = std::max(c_low, t_min * l);
         c_high += curve.timeAt(curve.minValid()) * l;
     }
-    c_high = std::max(c_high, c_low * (1 + options_.bisectionRelTol));
+    c_high = std::max(c_high, c_low * (1 + kBisectionRelTol));
 
     auto alloc_sum = [&](double c) {
         double sum = 0;
@@ -90,13 +98,13 @@ ResourceAllocator::solveContinuous(const std::vector<MetaOpId> &level) const
 
     // Alg. 2 lines 3-9: bisection on C~ until the summed fractional
     // allocations meet the capacity N.
-    for (std::uint32_t it = 0; it < options_.maxBisectionIters; ++it) {
+    for (std::uint32_t it = 0; it < kMaxBisectionIters; ++it) {
         const double c_mid = 0.5 * (c_low + c_high);
         if (alloc_sum(c_mid) < n_total)
             c_high = c_mid;
         else
             c_low = c_mid;
-        if (c_high - c_low <= options_.bisectionRelTol * c_high)
+        if (c_high - c_low <= kBisectionRelTol * c_high)
             break;
     }
 

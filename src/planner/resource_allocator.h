@@ -43,16 +43,6 @@ ScalingCurve syncPricedCurve(const ScalingCurve &compute, const MetaOp &m,
                              std::uint32_t sharing,
                              const ClusterTopology &topo);
 
-/** Allocator tunables. */
-struct AllocatorOptions
-{
-    /** Relative convergence tolerance of the bisection search. */
-    double bisectionRelTol = 1e-7;
-
-    /** Hard cap on bisection iterations (guards degenerate curves). */
-    std::uint32_t maxBisectionIters = 200;
-};
-
 /**
  * Per-level resource allocator over estimated scaling curves.
  *
@@ -72,8 +62,7 @@ class ResourceAllocator
      */
     ResourceAllocator(const MetaGraph &graph,
                       const std::vector<ScalingCurve> &curves,
-                      std::uint32_t num_devices,
-                      AllocatorOptions options = {});
+                      std::uint32_t num_devices);
 
     /**
      * Solve the continuous MPSP relaxation for one MetaLevel
@@ -115,7 +104,6 @@ class ResourceAllocator
     const MetaGraph &graph_;
     const std::vector<ScalingCurve> &curves_;
     std::uint32_t num_devices_;
-    AllocatorOptions options_;
 };
 
 } // namespace spindle

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_util.h"
 
 namespace spindle {
@@ -200,6 +202,30 @@ TEST_F(BaselineFixture, TheoreticalOptimumOnlyFromSpindle)
     SequentialSystem ds(hw, SequentialMode::DeepSpeed);
     EXPECT_GT(spindle.runIteration(meta).theoreticalOptimum, 0);
     EXPECT_DOUBLE_EQ(ds.runIteration(meta).theoreticalOptimum, 0);
+}
+
+TEST(SpindleSystem, EngineMeasuresPeakMemoryUnderThePlannedRegime)
+{
+    // Tab. 2's QWen-VAL 70B on 256 GPUs fits 80 GB devices only with
+    // ZeRO-3 parameter sharding. Spindle plans under that regime, so
+    // the engine must measure its peak memory under it too: every
+    // device's peak stays within HBM.
+    ComputationGraph graph =
+        buildQwenVal({.size = QwenValConfig::Size::B70, .batch = 128});
+    MetaGraph meta = contractGraph(graph);
+    ClusterTopology topo = smallCluster(32);
+    HardwareModel hw(topo);
+    PlannerOptions options;
+    options.memory.zeroShardParams = true;
+    SpindleSystem spindle(hw, options);
+    EXPECT_TRUE(spindle.memoryParams().zeroShardParams);
+
+    const SystemResult r = spindle.runIteration(meta);
+    ASSERT_EQ(r.peakMemoryBytes.size(), topo.numDevices());
+    const auto peak = std::max_element(r.peakMemoryBytes.begin(),
+                                       r.peakMemoryBytes.end());
+    EXPECT_LE(*peak, topo.device().memoryBytes)
+        << "device " << peak - r.peakMemoryBytes.begin();
 }
 
 } // namespace

@@ -452,41 +452,6 @@ TEST(Collective, ShardedScheduleShape)
                                  CollectiveKind::ShardedHierarchical));
 }
 
-TEST(Collective, PairedFlowTimePunishesTouchingTheSlowIsland)
-{
-    // src = island 0; a destination window entirely inside island 0
-    // prices intra-only, while a window that merely touches island 1
-    // pays the slow class for its cross-island shard — which the
-    // best-pair flowTime cannot see.
-    ClusterTopology topo = twoIslandTopo();
-    CollectiveModel coll(topo);
-    const DeviceSet src = {0, 1, 2, 3};
-    const DeviceSet aligned = {1, 2};
-    const DeviceSet touching = {1, 6};
-
-    const double bytes = 800;
-    // Both windows overlap src, so flowTime prices the on-device
-    // copy class for either — it cannot tell them apart.
-    EXPECT_EQ(coll.flowTime(bytes, src, aligned),
-              coll.flowTime(bytes, src, touching));
-
-    // pairedFlowTime: the aligned window has no island miss, so it
-    // prices exactly like flowTime; the touching window pays the
-    // attributed surcharge — device 6's island holds no source, so
-    // half its shards cross islands and the flow is charged 1.5x.
-    EXPECT_EQ(coll.pairedFlowTime(bytes, src, aligned),
-              coll.flowTime(bytes, src, aligned));
-    EXPECT_LT(coll.pairedFlowTime(bytes, src, aligned),
-              coll.pairedFlowTime(bytes, src, touching));
-    EXPECT_DOUBLE_EQ(coll.pairedFlowTime(bytes, src, touching),
-                     coll.flowTime(bytes, src, touching) * 1.5);
-
-    // Degenerate cases match flowTime: identical sets are free, and
-    // zero bytes are free.
-    EXPECT_EQ(coll.pairedFlowTime(bytes, src, src), 0.0);
-    EXPECT_EQ(coll.pairedFlowTime(0.0, src, touching), 0.0);
-}
-
 /**
  * Reference flow oracle: the pair scan flowTime used before it read
  * the link classes off per island. Folds linkBetween() over every
@@ -512,15 +477,13 @@ pairScanFlowTime(const ClusterTopology &topo, double bytes,
     return bytes / streams / best.bandwidth + best.latency;
 }
 
-/** Reference pairedFlowTime: the pair scan plus a nested-loop count
- *  of destinations whose island holds no source device. */
-double
-pairScanPairedFlowTime(const ClusterTopology &topo, double bytes,
-                       const DeviceSet &src, const DeviceSet &dst)
+/** Reference uncovered count of bestLinkBetween(): a nested loop
+ *  over the destinations whose island holds no source device (the
+ *  count placement's inter-island attribution reads). */
+std::size_t
+pairScanUncovered(const ClusterTopology &topo, const DeviceSet &src,
+                  const DeviceSet &dst)
 {
-    const double t = pairScanFlowTime(topo, bytes, src, dst);
-    if (t <= 0)
-        return t;
     std::size_t miss = 0;
     for (DeviceId d : dst) {
         bool covered = false;
@@ -528,15 +491,15 @@ pairScanPairedFlowTime(const ClusterTopology &topo, double bytes,
             covered = covered || topo.sameIsland(s, d);
         miss += covered ? 0 : 1;
     }
-    return t * (1.0 + static_cast<double>(miss) /
-                          static_cast<double>(dst.size()));
+    return miss;
 }
 
 /**
  * Random (src, dst) pairs over @p topo: sets spanning the cluster,
  * single-island sets, singletons, dst == src and overlapping sets,
- * each in ascending or shuffled order. Requires flowTime and
- * pairedFlowTime to equal the pair-scan reference bit for bit.
+ * each in ascending or shuffled order. Requires flowTime to equal
+ * the pair-scan reference bit for bit, and bestLinkBetween()'s
+ * uncovered count to equal the nested-loop count.
  */
 void
 expectFlowOracleMatchesPairScan(const ClusterTopology &topo,
@@ -595,8 +558,9 @@ expectFlowOracleMatchesPairScan(const ClusterTopology &topo,
                             " dst ", deviceSetStr(dst)));
         EXPECT_EQ(coll.flowTime(bytes, src, dst),
                   pairScanFlowTime(topo, bytes, src, dst));
-        EXPECT_EQ(coll.pairedFlowTime(bytes, src, dst),
-                  pairScanPairedFlowTime(topo, bytes, src, dst));
+        std::size_t uncovered = 0;
+        topo.bestLinkBetween(src, dst, &uncovered);
+        EXPECT_EQ(uncovered, pairScanUncovered(topo, src, dst));
         EXPECT_EQ(coll.flowTime(bytes, dst, src),
                   pairScanFlowTime(topo, bytes, dst, src));
     }

@@ -4,16 +4,16 @@
  * planner_equivalence_test cannot see (it implements only
  * ContiguousRuns windows): IslandAware bands and cross-island extras,
  * the extras' link-class fast path, exact-comm extras on fabrics with
- * per-pair island links, pairing-aware flow pricing, and the
- * memory-first fallback under IslandAware windows. Every pin is the
- * placementDigest() of the plan, recorded before the placement sweep
- * was split into stages, and must hold at any planner thread count.
+ * per-pair island links, and the memory-first fallback under
+ * IslandAware windows. Every pin is the placementDigest() of the
+ * plan, recorded before the placement sweep was split into stages,
+ * and must hold at any planner thread count.
  *
  * A second group pins the same paths at cluster sizes where the
  * placement view collapses runs of untouched islands (see
- * placement.h): IslandAware and paired pricing at 1024 and 4096 GPUs,
- * a partial memory-first fallback past a replayed prefix, and mixed
- * island sizes, where only equal-size neighbours collapse. Each case
+ * placement.h): IslandAware windows at 4096 GPUs, a partial
+ * memory-first fallback past a replayed prefix, and mixed island
+ * sizes, where only equal-size neighbours collapse. Each case
  * asserts that some entry is placed beside a collapsed run, so it
  * cannot pass vacuously; the digests were recorded before the view
  * existed. Two hand-built plans pin the view's cut widths where the
@@ -68,11 +68,10 @@ alternatingIslandsConfig()
 
 PlannerOutput
 planIslandAware(const HardwareModel &hw, const MetaGraph &meta,
-                bool paired, std::uint32_t threads)
+                std::uint32_t threads)
 {
     PlannerOptions options;
     options.placement.windows = WindowPolicy::IslandAware;
-    options.placement.pairingAwareFlowPricing = paired;
     options.threads = threads;
     return ExecutionPlanner(hw, options).plan(meta);
 }
@@ -84,48 +83,36 @@ TEST(PlacementStages, IslandAwarePlansMatchRecordedBytes)
         const char *name;
         ComputationGraph graph;
         ClusterConfig cluster;
-        std::uint64_t legacy; ///< pairingAwareFlowPricing off
-        /** pairingAwareFlowPricing on; equals `legacy` where place()
-         *  keeps the legacy pass. */
-        std::uint64_t paired;
+        std::uint64_t recorded;
     };
     const Case cases[] = {
         {"fig3/hetero{6,10}", testutil::fig3Workload(),
-         heteroIslandConfig({6, 10}), 0x9dd517f09a291f1bull,
-         0x518d1638c34983ebull},
+         heteroIslandConfig({6, 10}), 0x9dd517f09a291f1bull},
         {"CLIP-4/striped2x8", buildMultitaskClip({.numTasks = 4}),
-         stripedIslandConfig(2, 8), 0x402fd24eb203b650ull,
-         0x0a73ee6f98407a37ull},
+         stripedIslandConfig(2, 8), 0x402fd24eb203b650ull},
         {"CLIP-10/hetero{12,4,12,4}",
          buildMultitaskClip({.numTasks = 10}),
-         heteroIslandConfig({12, 4, 12, 4}), 0x73b6c2cdb6b92654ull,
-         0x6ca1602bcc181870ull},
+         heteroIslandConfig({12, 4, 12, 4}), 0x73b6c2cdb6b92654ull},
         {"OFASys-7/striped4x8", buildOfasys({.numTasks = 7}),
-         stripedIslandConfig(4, 8), 0xae19badaccdf5229ull,
-         0xae19badaccdf5229ull},
+         stripedIslandConfig(4, 8), 0xae19badaccdf5229ull},
         {"CLIP-7/hetero{12,4,12,4}+islandLinks",
          buildMultitaskClip({.numTasks = 7}), overriddenLinksConfig(),
-         0x7e0f36d1840cb818ull, 0x9cc94936205a8715ull},
+         0x7e0f36d1840cb818ull},
         {"CLIP-10/16 alternating 12/4 islands",
          buildMultitaskClip({.numTasks = 10}), alternatingIslandsConfig(),
-         0x52255f06c0d19b52ull, 0x52255f06c0d19b52ull},
+         0x52255f06c0d19b52ull},
     };
     for (const Case &c : cases) {
         const MetaGraph meta = contractGraph(c.graph);
         ClusterTopology topo(c.cluster);
         HardwareModel hw(topo);
-        for (bool paired : {false, true}) {
-            for (std::uint32_t threads : {1u, 8u}) {
-                SCOPED_TRACE(strCat(c.name, " paired=", paired,
-                                    " threads=", threads));
-                const PlannerOutput out =
-                    planIslandAware(hw, meta, paired, threads);
-                out.plan.validate(meta);
-                EXPECT_FALSE(out.placement.usedMemoryFallback);
-                EXPECT_EQ(placementDigest(out),
-                          paired ? c.paired : c.legacy)
-                    << std::hex << "0x" << placementDigest(out);
-            }
+        for (std::uint32_t threads : {1u, 8u}) {
+            SCOPED_TRACE(strCat(c.name, " threads=", threads));
+            const PlannerOutput out = planIslandAware(hw, meta, threads);
+            out.plan.validate(meta);
+            EXPECT_FALSE(out.placement.usedMemoryFallback);
+            EXPECT_EQ(placementDigest(out), c.recorded)
+                << std::hex << "0x" << placementDigest(out);
         }
     }
 }
@@ -143,7 +130,7 @@ TEST(PlacementStages, IslandAwareMemoryFallbackMatchesRecordedBytes)
         ClusterTopology roomy(cfg);
         HardwareModel hw(roomy);
         for (double b :
-             planIslandAware(hw, meta, false, 1).placement.peakBytes)
+             planIslandAware(hw, meta, 1).placement.peakBytes)
             peak = std::max(peak, b);
     }
     cfg.device.memoryBytes = 0.85 * peak / PlacementOptions{}.memorySlack;
@@ -151,7 +138,7 @@ TEST(PlacementStages, IslandAwareMemoryFallbackMatchesRecordedBytes)
     HardwareModel hw(tight);
     for (std::uint32_t threads : {1u, 8u}) {
         SCOPED_TRACE(strCat("threads=", threads));
-        const PlannerOutput out = planIslandAware(hw, meta, false, threads);
+        const PlannerOutput out = planIslandAware(hw, meta, threads);
         out.plan.validate(meta);
         EXPECT_TRUE(out.placement.usedMemoryFallback);
         EXPECT_GT(out.placement.fallbackRestartWave, 0u);
@@ -204,14 +191,6 @@ TEST(PlacementStages, IslandAwareAt4096GpusMatchesRecordedBytes)
     options.placement.windows = WindowPolicy::IslandAware;
     expectCollapsedPin(buildMultitaskClip({.numTasks = 3}),
                        shorthandCluster(512), options, 0xed40aaa98976df10ull);
-}
-
-TEST(PlacementStages, PairedPricingAt1024GpusMatchesRecordedBytes)
-{
-    PlannerOptions options;
-    options.placement.pairingAwareFlowPricing = true;
-    expectCollapsedPin(buildOfasys({.numTasks = 3}), shorthandCluster(128),
-                       options, 0xa7fb937b9fd83ac4ull);
 }
 
 TEST(PlacementStages, PartialFallbackBesideUntouchedIslandsMatchesRecordedBytes)

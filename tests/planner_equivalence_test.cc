@@ -395,8 +395,7 @@ tryPlace(const ClusterTopology &topo, const HardwareModel &hw,
                     if (!resident)
                         non_resident_bytes += op.paramBytes;
                 }
-                comm += options.paramAffinityWeight * 2.0 *
-                        non_resident_bytes /
+                comm += 2.0 * non_resident_bytes /
                         topo.config().interIslandCollective.bandwidth;
 
                 if (cfg.tp > 1 && !topo.withinOneIsland(win)) {
@@ -502,7 +501,7 @@ plan(const HardwareModel &hw, const PlannerOptions &options,
                                          graph.paramSharingWidths()[m.id],
                                          hw.topology()));
 
-    ResourceAllocator allocator(graph, curves, n, options.allocator);
+    ResourceAllocator allocator(graph, curves, n);
     std::vector<LevelAllocation> allocations = allocator.allocateAll();
 
     out.plan.waves = scheduleAll(graph, curves, n, options.scheduler,
@@ -796,13 +795,6 @@ TEST(PlannerEquivalence, OnDeviceCopySlowestOrdering)
                      cluster);
 }
 
-TEST(PlannerEquivalence, NoisyEstimator)
-{
-    PlannerOptions options;
-    options.estimator.noiseStdFrac = 0.05;
-    expectEquivalent(buildMultitaskClip({.numTasks = 4}), 2, options);
-}
-
 // ===================================================================
 // Island-graph topologies (explicit islands, permuted numbering,
 // heterogeneous sizes, per-pair overrides)
@@ -926,60 +918,6 @@ TEST(PlannerEquivalence, IslandAwareLowersInterIslandComm)
                   runs.placement.interIslandCommSeconds);
         EXPECT_LE(isl.placement.estimatedCommSeconds,
                   runs.placement.estimatedCommSeconds);
-    }
-}
-
-TEST(PlannerEquivalence, PairingAwarePricingNeverRaisesInterIslandComm)
-{
-    // Acceptance: pricing placement windows with pairedFlowTime (the
-    // per-shard attribution interIslandCommSeconds itself uses)
-    // instead of flowTime's best-pair bound must never *raise* the
-    // attributed inter-island comm of the chosen plan — on every
-    // seed workload x island topology pair. Both runs are scored by
-    // the same attribution oracle, so the comparison is apples to
-    // apples; only the placement decisions differ.
-    struct Case
-    {
-        const char *name;
-        ComputationGraph graph;
-        ClusterConfig cluster;
-    };
-    const Case cases[] = {
-        {"fig3/hetero{6,10}", fig3Workload(), heteroCluster({6, 10})},
-        {"CLIP-4T/striped2x8", buildMultitaskClip({.numTasks = 4}),
-         stripedCluster(2, 8)},
-        {"CLIP-7T/hetero{6,10}", buildMultitaskClip({.numTasks = 7}),
-         heteroCluster({6, 10})},
-        {"CLIP-10T/hetero{12,4,12,4}",
-         buildMultitaskClip({.numTasks = 10}),
-         heteroCluster({12, 4, 12, 4})},
-        {"OFASys-4T/hetero{6,10}", buildOfasys({.numTasks = 4}),
-         heteroCluster({6, 10})},
-        {"OFASys-7T/striped4x8", buildOfasys({.numTasks = 7}),
-         stripedCluster(4, 8)},
-        {"QwenVal-9B/hetero{6,10}", buildQwenVal({}),
-         heteroCluster({6, 10})},
-    };
-    for (const Case &c : cases) {
-        SCOPED_TRACE(c.name);
-        ClusterTopology topo(c.cluster);
-        HardwareModel hw(topo);
-        MetaGraph meta_legacy = contractGraph(c.graph);
-        MetaGraph meta_paired = contractGraph(c.graph);
-
-        PlannerOptions legacy_opt;
-        legacy_opt.placement.windows = WindowPolicy::IslandAware;
-        PlannerOptions paired_opt = legacy_opt;
-        paired_opt.placement.pairingAwareFlowPricing = true;
-
-        PlannerOutput legacy =
-            ExecutionPlanner(hw, legacy_opt).plan(meta_legacy);
-        PlannerOutput paired =
-            ExecutionPlanner(hw, paired_opt).plan(meta_paired);
-        paired.plan.validate(meta_paired);
-
-        EXPECT_LE(paired.placement.interIslandCommSeconds,
-                  legacy.placement.interIslandCommSeconds);
     }
 }
 
@@ -1293,29 +1231,6 @@ TEST(PlannerEquivalence, ReplanSequentialPlacementStrategy)
     options.placement.strategy = PlacementStrategy::Sequential;
     expectReplanMatchesPlanOnNodes(buildMultitaskClip({.numTasks = 4}),
                                    2, options);
-}
-
-TEST(PlannerEquivalence, ReplanWithNoiseFallsBackToPlan)
-{
-    // Noise draws are invisible to positional signatures, so cached
-    // results are not value-transparent; replan() must refuse the
-    // incremental path and defer to plan().
-    ClusterConfig cfg;
-    cfg.numNodes = 2;
-    cfg.gpusPerNode = 8;
-    ClusterTopology topo(cfg);
-    HardwareModel hw(topo);
-    ComputationGraph g = buildMultitaskClip({.numTasks = 4});
-    MetaGraph meta = contractGraph(g);
-
-    PlannerOptions options;
-    options.estimator.noiseStdFrac = 0.05;
-    ExecutionPlanner planner(hw, options);
-    PlannerOutput ref = planner.plan(meta);
-    PlannerOutput out = planner.replan(meta);
-    EXPECT_FALSE(out.replan.attempted);
-    expectPlansIdentical(ref.plan, out.plan);
-    expectPlacementsIdentical(ref.placement, out.placement);
 }
 
 /** One task, three chained transformer stacks: A -> B -> tail. */
@@ -1685,29 +1600,20 @@ TEST(PlannerEquivalence, DirtyTrackingSigAlternation)
 {
     ComputationGraph g = sigAlternationWorkload();
 
-    // Reference vs optimized (pruning on by default) at {1,2,8}
-    // threads, on contiguous islands and on a striped numbering
-    // whose free-list runs churn across islands.
+    // Reference vs optimized at {1,2,8} threads, on contiguous
+    // islands and on a striped numbering whose free-list runs churn
+    // across islands.
     expectEquivalent(g, 2);
     expectEquivalentOn(g, stripedCluster(4, 4));
-
-    // And with the admissible pruning disabled: both sides of the
-    // pruning toggle must match the same reference bytes.
-    PlannerOptions no_prune;
-    no_prune.placement.bandPruning = false;
-    expectEquivalent(g, 2, no_prune);
 }
 
-TEST(PlannerEquivalence, Sampled1024GpuPruningAndThreadsToggle)
+TEST(PlannerEquivalence, Sampled1024GpuThreadsToggle)
 {
     // The scale acceptance of the incremental sweep: at the sampled
     // 1024-GPU point (the bench's scale-envelope record), plans must
-    // stay byte-identical with admissible band pruning on or off, at
-    // 1 and 8 planner threads. The frozen reference is deliberately
-    // not run here — the pairwise comparison pins exactly the claim
-    // the pruning bound proves (strict-inequality pruning preserves
-    // the ordinal tie-break, so the winner never changes), and the
-    // reference already anchors the smaller scales above.
+    // stay byte-identical at 1 and 8 planner threads. The frozen
+    // reference, which never prunes, is deliberately not run here:
+    // Clip10TasksCollapsedRuns anchors it at 1024 GPUs.
     ComputationGraph g = buildMultitaskClip({.numTasks = 10});
     MetaGraph meta = contractGraph(g);
     ClusterConfig cfg;
@@ -1716,25 +1622,14 @@ TEST(PlannerEquivalence, Sampled1024GpuPruningAndThreadsToggle)
     ClusterTopology topo(cfg);
     HardwareModel hw(topo);
 
-    PlannerOptions anchor_opt;
-    anchor_opt.placement.bandPruning = false;
-    PlannerOutput anchor = ExecutionPlanner(hw, anchor_opt).plan(meta);
+    PlannerOutput anchor = ExecutionPlanner(hw).plan(meta);
     EXPECT_EQ(anchor.plan.numDevices, 1024u);
 
-    for (bool pruning : {false, true}) {
-        for (std::uint32_t threads : {1u, 8u}) {
-            if (!pruning && threads == 1)
-                continue; // the anchor itself
-            SCOPED_TRACE(
-                strCat("pruning=", pruning, " threads=", threads));
-            PlannerOptions options;
-            options.placement.bandPruning = pruning;
-            options.threads = threads;
-            PlannerOutput out = ExecutionPlanner(hw, options).plan(meta);
-            expectPlansIdentical(anchor.plan, out.plan);
-            expectPlacementsIdentical(anchor.placement, out.placement);
-        }
-    }
+    PlannerOptions options;
+    options.threads = 8;
+    PlannerOutput out = ExecutionPlanner(hw, options).plan(meta);
+    expectPlansIdentical(anchor.plan, out.plan);
+    expectPlacementsIdentical(anchor.placement, out.placement);
 }
 
 } // namespace

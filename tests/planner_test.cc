@@ -326,6 +326,75 @@ TEST(Planner, PlanCacheSharedAcrossPlanners)
     expectSameBytes(second.plan(meta), hit);
 }
 
+TEST(Planner, EachPlanAffectingOptionSeparatesCacheContexts)
+{
+    // Every option mixed into the options fingerprint gets a planner
+    // that differs from the default in that one field and shares the
+    // default planner's cache: it must not be served the default
+    // entry, and its own replan() must equal its plan(). A planner
+    // that differs only in thread count shares the context.
+    ComputationGraph g = fig3Workload();
+    MetaGraph meta = contractGraph(g);
+    ClusterTopology topo = smallCluster(2);
+    HardwareModel hw(topo);
+
+    PlanCache cache;
+    PlannerOptions base;
+    base.cache = &cache;
+    EXPECT_FALSE(ExecutionPlanner(hw, base).replan(meta).replan.fullHit);
+
+    struct Variant
+    {
+        const char *field;
+        void (*apply)(PlannerOptions &);
+    };
+    const Variant variants[] = {
+        {"estimator.piecewise",
+         [](PlannerOptions &o) { o.estimator.piecewise = false; }},
+        {"scheduler.extendResources",
+         [](PlannerOptions &o) { o.scheduler.extendResources = false; }},
+        {"placement.strategy",
+         [](PlannerOptions &o) {
+             o.placement.strategy = PlacementStrategy::Sequential;
+         }},
+        {"placement.windows",
+         [](PlannerOptions &o) {
+             o.placement.windows = WindowPolicy::IslandAware;
+         }},
+        {"placement.partialFallbackRestart",
+         [](PlannerOptions &o) { o.placement.partialFallbackRestart = false; }},
+        {"placement.memorySlack",
+         [](PlannerOptions &o) { o.placement.memorySlack = 0.9; }},
+        {"placement.memoryWeight",
+         [](PlannerOptions &o) { o.placement.memoryWeight = 2e-3; }},
+        {"memory.optimizerFactor",
+         [](PlannerOptions &o) { o.memory.optimizerFactor = 6.0; }},
+        {"memory.zeroShardOptimizer",
+         [](PlannerOptions &o) { o.memory.zeroShardOptimizer = false; }},
+        {"memory.zeroShardParams",
+         [](PlannerOptions &o) { o.memory.zeroShardParams = true; }},
+        {"memory.activationFactor",
+         [](PlannerOptions &o) { o.memory.activationFactor = 0.5; }},
+    };
+    for (const Variant &v : variants) {
+        SCOPED_TRACE(v.field);
+        PlannerOptions options = base;
+        v.apply(options);
+        ExecutionPlanner planner(hw, options);
+        const PlannerOutput replanned = planner.replan(meta);
+        EXPECT_TRUE(replanned.replan.attempted);
+        EXPECT_FALSE(replanned.replan.fullHit);
+        const PlannerOutput planned = planner.plan(meta);
+        expectSameBytes(planned, replanned);
+        EXPECT_EQ(testutil::placementDigest(planned),
+                  testutil::placementDigest(replanned));
+    }
+
+    PlannerOptions threaded = base;
+    threaded.threads = 2;
+    EXPECT_TRUE(ExecutionPlanner(hw, threaded).replan(meta).replan.fullHit);
+}
+
 // ===================================================================
 // Plan cache under degraded (post-failure) topologies
 // ===================================================================
